@@ -249,9 +249,13 @@ class PopulationProtocol(ABC):
         key = (i, j)
         result = cache.get(key)
         if result is None:
-            states = self.states
-            new_x, new_y = self.transition(states[i], states[j])
-            result = (self.index_of(new_x), self.index_of(new_y))
+            table = getattr(self, "_transition_matrix_cache", None)
+            if table is not None:
+                result = (int(table[0][i, j]), int(table[1][i, j]))
+            else:
+                states = self.states
+                new_x, new_y = self.transition(states[i], states[j])
+                result = (self.index_of(new_x), self.index_of(new_y))
             cache[key] = result
         return result
 
@@ -277,16 +281,26 @@ class PopulationProtocol(ABC):
                     f"transition table (> {MAX_DENSE_STATES} states); "
                     "use transition_index() or iter_transition_rows() "
                     "for large state spaces")
-            out_x = np.empty((s, s), dtype=np.int64)
-            out_y = np.empty((s, s), dtype=np.int64)
-            for i in range(s):
-                for j in range(s):
-                    out_x[i, j], out_y[i, j] = self.transition_index(i, j)
+            out_x, out_y = self._build_transition_matrix()
             out_x.setflags(write=False)
             out_y.setflags(write=False)
             cached = (out_x, out_y)
             self._transition_matrix_cache = cached
         return cached
+
+    def _build_transition_matrix(self) -> tuple[np.ndarray, np.ndarray]:
+        """Fill the table behind :meth:`transition_matrix`, pair by pair.
+
+        Protocols whose transition is arithmetic (AVC) override this
+        with a vectorized fill that must return the identical tables.
+        """
+        s = self.num_states
+        out_x = np.empty((s, s), dtype=np.int64)
+        out_y = np.empty((s, s), dtype=np.int64)
+        for i in range(s):
+            for j in range(s):
+                out_x[i, j], out_y[i, j] = self.transition_index(i, j)
+        return out_x, out_y
 
     def iter_transition_rows(self, block: int = 256
                              ) -> Iterator[tuple[slice, np.ndarray,

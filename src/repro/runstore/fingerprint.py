@@ -121,17 +121,20 @@ def spec_key(spec) -> dict:
     observers) never enter the key: they do not affect the results.
 
     Engine-key policy: the key records the *requested* engine name,
-    not the engine resolution resolves it to.  Every exact engine —
-    and every engine ``"auto"`` may pick, including the population-
-    size routing between the token and count ensembles — samples the
-    same chain, so resolved names are distribution-irrelevant and
-    keying on them would needlessly invalidate caches whenever a
-    routing threshold moves.  The resolved name is recorded in the
-    entry's *metadata* (``engine_resolved``) for provenance, e.g. in
-    ``runs status --metrics``.  Requesting a different engine *name*
-    (say ``"count-ensemble"`` instead of ``"auto"``) is a different
-    key: per-trial random streams are engine-specific, so the swap
-    changes byte-level results even though distributions agree.
+    not the engine resolution resolves it to.  Every engine ``"auto"``
+    may pick samples the same chain, so the resolved name is
+    distribution-irrelevant and keying on it would orphan every
+    ``auto`` entry whenever a routing threshold moves.  Streams,
+    though, are engine-specific: a routing move (say the token to the
+    count ensemble) changes an ``auto`` point's bytes.  So the resolved
+    name goes into the entry's *metadata* (``engine_resolved``), and
+    on every hit of an ``auto`` entry the orchestrator and the service
+    compare it with the engine the current policy picks
+    (:func:`repro.sim.run.auto_engine_name`, names only, ``-jit``
+    suffix ignored since the compiled twins are bit-identical); a
+    mismatch is a stale entry, recomputed and overwritten (see
+    ``docs/runstore.md``).  Requesting a different engine *name* (say
+    ``"count-ensemble"`` instead of ``"auto"``) is a different key.
     """
     if spec.initial is not None or spec.graph is not None:
         raise ValueError(

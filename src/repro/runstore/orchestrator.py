@@ -50,6 +50,7 @@ from ..serialize import run_result_from_dict, run_result_to_dict
 from ..sim.results import TrialStats
 from ..sim.run import (
     RunSpec,
+    auto_engine_name,
     ensemble_chunks,
     make_run_engine,
     raise_unsettled,
@@ -61,7 +62,7 @@ from .fingerprint import fingerprint, point_key, spec_key
 from .journal import chunk_map
 from .store import RunStore
 
-__all__ = ["Orchestrator", "RETRYABLE_ERRORS"]
+__all__ = ["Orchestrator", "RETRYABLE_ERRORS", "stale_reason"]
 
 #: Failures worth retrying: the work is a pure function of its seed,
 #: so a crashed worker pool just means "run that batch again".
@@ -84,6 +85,27 @@ ROBUSTNESS_COLUMNS = (
     "settled_fraction", "mean_recovery_time", "std_recovery_time",
     "residual_error", "mean_parallel_time", "mean_fault_events",
 )
+
+
+def stale_reason(entry: dict, spec: RunSpec) -> str | None:
+    """Why a committed entry is not what the current code would compute.
+
+    Only ``auto`` entries can go stale this way: their key names the
+    policy, not the engine it picked, so a moved routing threshold
+    leaves entries keyed like the new routing's points but holding the
+    old engine's stream.  The recorded ``engine_resolved`` is compared
+    with :func:`~repro.sim.run.auto_engine_name` by name (no engine is
+    built); the ``-jit`` suffix is ignored because the compiled twins
+    are bit-identical to the numpy engines.  ``None`` when fresh.
+    """
+    meta = entry.get("meta") or {}
+    recorded = meta.get("engine_resolved")
+    if meta.get("engine_requested") != "auto" or recorded is None:
+        return None
+    current = auto_engine_name(spec)
+    if recorded.removesuffix("-jit") == current.removesuffix("-jit"):
+        return None
+    return f"computed on {recorded}, auto now picks {current}"
 
 
 class _Deferred:
@@ -239,6 +261,9 @@ class Orchestrator:
                          "lease_reclaims": 0, "lease_lost": 0}
         self._journal = None
         self._pending: dict[str, dict[int, list]] = {}
+        # The spec each typed point was addressed by, for the stale
+        # check on every lookup of its fingerprint.
+        self._specs: dict[str, RunSpec] = {}
         self._deferred: list[_Deferred] = []
         self._waiting_noted = False
         if store is not None and sweep is not None:
@@ -300,6 +325,7 @@ class Orchestrator:
         label = label or (f"{protocol.name} n={spec.n}" if spec.n
                           else f"{protocol.name} "
                                f"{spec.count_a}v{spec.count_b}")
+        self._specs[fp] = spec
         cached = self._lookup(fp, label=label, kind="majority-point")
         if cached is not None:
             return cached
@@ -385,6 +411,7 @@ class Orchestrator:
         key = dict(spec_key(spec), kind="robustness-point")
         fp = fingerprint(key)
         label = f"{protocol.name} n={n} [{describe or 'fault-free'}]"
+        self._specs[fp] = spec
         cached = self._lookup(fp, label=label, kind="robustness-point")
         if cached is not None:
             return cached
@@ -689,8 +716,17 @@ class Orchestrator:
         entry = self.store.get(fp)
         if entry is None:
             return None
-        self.counters["cached"] += 1
         telemetry = current_telemetry()
+        spec = self._specs.get(fp)
+        stale = stale_reason(entry, spec) if spec is not None else None
+        if stale is not None:
+            # A miss: the point is recomputed and its entry overwritten.
+            if telemetry.enabled:
+                telemetry.count("runstore.cache.stale", kind=kind)
+            self._note(f"stale cache entry {label or fp[:12]} ({stale}); "
+                       "recomputing")
+            return None
+        self.counters["cached"] += 1
         if telemetry.enabled:
             telemetry.count("runstore.cache.hit", kind=kind)
         self._note(f"cache hit {label or fp[:12]}")

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 from ..errors import InvalidParameterError
 from ..runstore.fingerprint import fingerprint
+from ..runstore.orchestrator import stale_reason
 from ..runstore.store import RunStore
 from ..sim.run import RunSpec
 from ..telemetry import InMemorySink, Telemetry
@@ -155,6 +156,11 @@ class SimulationService:
         fp = fingerprint(key)
         wire = spec.to_json()
         entry = self.store.get(fp)
+        if entry is not None and stale_reason(entry, spec) is not None:
+            # Computed on an engine the current routing no longer picks:
+            # a miss, recomputed (and overwritten) by the job below.
+            self.telemetry.count("runstore.cache.stale", kind="service")
+            entry = None
         if entry is not None:
             # The content-addressed fast path: a million identical
             # submissions cost one simulation.  No job, no queue, no

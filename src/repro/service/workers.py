@@ -12,7 +12,7 @@ Threads, not processes: the engines spend their time inside numpy and
 the compiled kernels, which release the GIL, and the per-trial fan-out
 below a point can still go multi-process through
 :func:`~repro.sim.parallel.run_trials_parallel` if a deployment needs
-it.  Kernel warm-up (numba JIT compilation / C build) happens once per
+it.  Kernel warm-up (the C build and load) happens once per
 worker thread on its first job of each engine family — never inside a
 timed chunk (mirroring the pool initializer in
 :mod:`repro.sim.parallel`).

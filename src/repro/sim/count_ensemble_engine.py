@@ -148,8 +148,9 @@ class CountEnsembleEngine(CountEngine):
 
     ``run_trials(..., engine="count-ensemble")`` routes whole trial
     batches through :meth:`run_ensemble`, and ``engine="auto"`` picks
-    this engine over the token ensemble for large populations (see
-    :data:`repro.sim.engines.COUNT_ENSEMBLE_MIN_N`).
+    this engine (or its compiled twin) over the token ensemble from a
+    measured population crossover (see
+    :func:`repro.sim.engines.ensemble_engine_name`).
     """
 
     name = "count-ensemble"

@@ -57,6 +57,9 @@ __all__ = [
     "NULL_SKIP_MAX_STATES",
     "ENSEMBLE_MAX_STATES",
     "COUNT_ENSEMBLE_MIN_N",
+    "FAULTED_COUNT_ENSEMBLE_MIN_N",
+    "count_ensemble_min_n",
+    "ensemble_engine_name",
 ]
 
 #: State-count threshold below which null skipping beats the count
@@ -73,14 +76,52 @@ NULL_SKIP_MAX_STATES = 16
 #: (``protocol.supports_dense_tables`` is the canonical test).
 ENSEMBLE_MAX_STATES = MAX_DENSE_STATES
 
-#: Population threshold at which ``"auto"`` multi-trial batches switch
-#: from the token-matrix ensemble (``O(T*n)`` memory, gather-based
-#: sampling — fastest when the token matrix fits in cache) to the
-#: count ensemble (``O(T*s)`` memory, collision-bounded batching —
-#: faster and asymptotically leaner at paper-scale ``n``).  2**15 keeps
-#: every small-``n`` baseline on the token engine, whose random streams
-#: are pinned by regression fixtures.
-COUNT_ENSEMBLE_MIN_N = 32_768
+#: Populations from which ``"auto"`` runs a clean multi-trial batch on
+#: the count ensemble (``O(T*s)`` memory, collision-bounded batching)
+#: instead of the token ensemble (``O(T*n)`` memory), keyed by whether
+#: a compiled kernel backend is usable.  Fitted from the crossover grid
+#: in ``docs/engines.md``: the compiled batch loop wins from the
+#: smallest population measured (n = 17) up, by 2-25x at most points;
+#: the numpy count ensemble loses up to 7.5x to the token ensemble at
+#: small margins below a few thousand agents, so it keeps the original
+#: 2^15 cut.
+COUNT_ENSEMBLE_MIN_N = {"compiled": 17, "numpy": 32_768}
+
+#: The same cut for faulted (non-byzantine) batches.  The count
+#: ensemble's faulted loop is numpy in both twins and advances one
+#: configuration change per row per round, like the token ensemble, so
+#: it keeps the original threshold.
+FAULTED_COUNT_ENSEMBLE_MIN_N = 32_768
+
+
+def count_ensemble_min_n() -> int:
+    """The population from which clean ``auto`` batches take the count
+    ensemble on this host (depends on the kernel backend)."""
+    compiled = kernels.default_backend() is not None
+    return COUNT_ENSEMBLE_MIN_N["compiled" if compiled else "numpy"]
+
+
+def ensemble_engine_name(n: int, *, faults=None) -> str:
+    """The vectorized ensemble ``"auto"`` runs a batch of ``n`` agents on.
+
+    The one place the crossover lives: the registry policy and
+    :func:`repro.sim.run.resolve_trial_engine` both ask it, for
+    protocols already known to fit the vectorized ensembles.  ``faults``
+    is the active :class:`~repro.faults.FaultSpec`, if any.  The count
+    ensemble family has no byzantine path, so byzantine batches stay on
+    the token ensemble at every ``n``.  A count-ensemble answer is the
+    compiled twin when a kernel backend is usable (bit-identical, so
+    the upgrade never moves a result).
+    """
+    if faults is None:
+        cut = count_ensemble_min_n()
+    elif faults.byzantine_f:
+        return "ensemble"
+    else:
+        cut = FAULTED_COUNT_ENSEMBLE_MIN_N
+    if n >= cut:
+        return kernels.jit_engine_name("count-ensemble")
+    return "ensemble"
 
 
 @dataclass(frozen=True)
@@ -210,10 +251,10 @@ def _auto_policy(protocol, *, graph=None, num_trials: int = 1,
     Null-skipping for small state spaces, the agent engine whenever a
     graph is supplied, a vectorized ensemble engine for multi-trial
     batches of unanimity-settling protocols with mid-sized state
-    spaces (the ``O(T*s)``-memory count ensemble once the population
-    reaches :data:`COUNT_ENSEMBLE_MIN_N`, the token ensemble below
-    it), and the count engine otherwise.  The approximate batch engine
-    is never chosen implicitly.
+    spaces (by population size, see :func:`ensemble_engine_name`; the
+    token ensemble when ``n`` is unknown), and the count engine
+    otherwise.  The approximate batch engine is never chosen
+    implicitly.
     """
     if getattr(protocol, "is_round_based", False):
         # Synchronous message-passing protocols (repro.consensus) have
@@ -227,9 +268,7 @@ def _auto_policy(protocol, *, graph=None, num_trials: int = 1,
             and getattr(protocol, "unanimity_settles", False)
             and getattr(protocol, "supports_dense_tables",
                         protocol.num_states <= ENSEMBLE_MAX_STATES)):
-        if n is not None and n >= COUNT_ENSEMBLE_MIN_N:
-            return kernels.jit_engine_name("count-ensemble")
-        return "ensemble"
+        return "ensemble" if n is None else ensemble_engine_name(n)
     return kernels.jit_engine_name("count")
 
 

@@ -1,36 +1,30 @@
-"""Compiled kernel backends for the hot simulation loops.
+"""Compiled kernel backend for the hot simulation loops.
 
-The three hottest paths in the repo — the count-ensemble engine's
-collision-bounded window step, the count engine's Fenwick-tree
-sample+update loop, and the batch engine's matching step — have
-compiled twins registered as ``count-ensemble-jit`` / ``count-jit`` /
-``batch-jit`` (see :mod:`repro.sim.engines`).  Two interchangeable
-backends provide the same three kernels:
+The hottest paths in the repo — the count-ensemble engine's whole
+clean trial loop, the count engine's Fenwick-tree sample+update loop,
+and the batch engine's matching step — have compiled twins registered
+as ``count-ensemble-jit`` / ``count-jit`` / ``batch-jit`` (see
+:mod:`repro.sim.engines`).  One backend provides them:
 
-``numba``
-    ``@njit`` kernels (:mod:`.numba_backend`); requires the ``[jit]``
-    optional extra.  Preferred when importable.
 ``cext``
     A dependency-free C translation unit compiled on demand with the
     system C compiler and bound through ctypes
-    (:mod:`.cext_backend`).  Used when numba is absent but a compiler
-    exists.
+    (:mod:`.cext_backend`).
 
-Both are bit-exact against the numpy engines: all RNG draws stay in
-numpy (identical streams), and the kernels only consume pre-drawn
-values.  When neither backend is usable the JIT engine names resolve
-to the numpy implementations and an ``engine.fallback`` telemetry
-event records why — behaviour (including every pinned baseline) is
-unchanged, only slower.
+It is bit-exact against the numpy engines: every RNG draw comes from
+numpy's own routines on the same generator (identical streams).  When
+the backend is unusable (no compiler, or a failed load-time check of
+its draws) the JIT engine names resolve to the numpy implementations
+and an ``engine.fallback`` telemetry event records why — behaviour
+(including every pinned baseline) is unchanged, only slower.
 
-``REPRO_JIT`` overrides detection: ``off``/``0``/``none`` disables
-both backends, ``numba`` or ``cext`` forces one (unusable forced
-backends fall back like absence).
+``REPRO_JIT`` overrides detection: ``off``/``0``/``none`` disables the
+backend, ``cext`` forces it (an unusable forced backend falls back
+like absence).
 """
 
 from __future__ import annotations
 
-import importlib.util
 import os
 
 __all__ = [
@@ -49,8 +43,8 @@ __all__ = [
     "warm_up_for_spec",
 ]
 
-#: Probe order: numba wins when importable, the C extension otherwise.
-BACKENDS = ("numba", "cext")
+#: Usable kernel backends, in probe order.
+BACKENDS = ("cext",)
 
 #: Population bound for the compiled ensemble round: positions must
 #: fit the packed hash entries' 34-bit field and ``n(n-1)`` must stay
@@ -58,8 +52,8 @@ BACKENDS = ("numba", "cext")
 #: scale) the engine inherits the numpy path.
 MAX_KERNEL_N = 1 << 26
 
-#: Row bound for the compiled ensemble round (epoch tag width).  Chunk
-#: sizes are ENSEMBLE_CHUNK_TRIALS = 128, so this never binds in
+#: Row bound for the compiled ensemble batch (its per-row buffers).
+#: Chunk sizes are ENSEMBLE_CHUNK_TRIALS = 128, so this never binds in
 #: practice.
 MAX_KERNEL_TRIALS = 1 << 15
 
@@ -91,17 +85,12 @@ def _try_load(backend: str):
     if cached is not None:
         return cached
     try:
-        if backend == "numba":
-            if importlib.util.find_spec("numba") is None:
-                raise ImportError("numba is not installed")
-            from . import numba_backend
-            result = (numba_backend.load(), None)
-        elif backend == "cext":
+        if backend == "cext":
             from . import cext_backend
             result = (cext_backend.load(), None)
         else:
             result = (None, f"unknown kernel backend {backend!r}")
-    except Exception as exc:  # ImportError, KernelBuildError, OSError
+    except Exception as exc:  # KernelBuildError, OSError
         result = (None, f"{backend}: {exc}")
     _state["mods"][backend] = result
     return result
@@ -124,15 +113,15 @@ def _probe() -> None:
             return
         errors.append(error)
     _state.update(probed=True, backend=None,
-                  reason="no usable kernel backend (install the [jit] "
-                         "extra or a C compiler): " + "; ".join(errors))
+                  reason="no usable kernel backend (install a C "
+                         "compiler): " + "; ".join(errors))
 
 
 def default_backend() -> str | None:
     """The preferred usable backend name, or ``None``.
 
-    The first call pays the probe (numba import, or a cached C
-    build); later calls are a dict lookup.
+    The first call pays the probe (a cached C build and its load-time
+    check); later calls are a dict lookup.
     """
     _probe()
     return _state["backend"]
@@ -169,8 +158,8 @@ def load(backend: str | None = None):
 def pack_transition_table(table_x, table_y, state_class):
     """Pack the flat transition tables into one int64 per state pair.
 
-    Entry layout (mirrored by the ``PT_*`` macros in ``_kernels.c``
-    and the numba kernels): bits 0..15 successor initiator state,
+    Entry layout (mirrored by the ``PT_*`` macros in ``_kernels.c``):
+    bits 0..15 successor initiator state,
     16..31 successor responder state, 32 the productive flag, and
     33..35 / 36..38 / 39..41 the biased ``delta + 2`` unanimity-class
     count deltas for classes 0 / 1 / 2.  One load per interaction
@@ -204,38 +193,17 @@ def jit_engine_name(name: str) -> str:
 
 
 def warm_up(backend: str | None = None) -> str | None:
-    """Compile/load the kernels now; return the backend name or None.
+    """Build/load the kernels now; return the backend name or None.
 
-    For numba this triggers (cached) JIT compilation of all three
-    kernels on tiny inputs, so pool workers never pay compile time
-    inside a job.  Never raises: an unusable backend returns ``None``.
+    Loading compiles the C library on a cold cache and runs its
+    load-time draw check, so pool workers call this once and never pay
+    either inside a job.  Never raises: an unusable backend returns
+    ``None``.
     """
-    import numpy as np
-
     try:
-        kernels = load(backend)
+        return load(backend).backend
     except ImportError:
         return None
-    if getattr(kernels, "_warm", False):
-        return kernels.backend
-    tx = np.array([0, 0, 1, 1], dtype=np.int64)  # 2-state null protocol
-    ty = np.array([0, 1, 0, 1], dtype=np.int64)
-    cls = np.array([1, 2], dtype=np.int64)
-    ptab = pack_transition_table(tx, ty, cls)
-    counts = np.array([[1, 1]], dtype=np.int64)
-    outs = [np.zeros(1, dtype=np.int64) for _ in range(6)]
-    kernels.ensemble_round(np.zeros((1, 1), dtype=np.int64), counts,
-                           np.full(1, 8, dtype=np.int64), 2,
-                           ptab, cls, *outs)
-    counts1 = np.array([1, 1], dtype=np.int64)
-    kernels.count_block(np.zeros(1, dtype=np.int64),
-                        np.zeros(1, dtype=np.int64), counts1,
-                        ptab, cls, np.zeros(3, dtype=np.int64))
-    kernels.batch_match(np.array([0, 1], dtype=np.int64),
-                        np.array([0, 1], dtype=np.int64),
-                        counts1, ptab)
-    kernels._warm = True
-    return kernels.backend
 
 
 def warm_up_for_spec(spec) -> None:

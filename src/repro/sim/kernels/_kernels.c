@@ -1,17 +1,22 @@
 /* Compiled hot loops for the repro simulation engines.
  *
- * One translation unit, three kernels, no Python.h: the library is
- * built with the system C compiler and bound through ctypes (see
- * cext_backend.py), so the only ABI surface is plain int64 buffers.
- * Every kernel is a bit-exact transliteration of the corresponding
- * numpy inner loop -- the RNG draws stay on the Python side (the
- * stream must be identical to the numpy engines'), and the kernels
- * only consume pre-drawn raw values.
+ * One translation unit, no Python.h: the library is built with the
+ * system C compiler and bound through ctypes (see cext_backend.py), so
+ * the ABI surface is plain int64 buffers plus numpy's bit generator
+ * struct.  Every kernel is a bit-exact transliteration of the
+ * corresponding numpy inner loop:
  *
+ *   repro_ensemble_batch  -- the whole clean trial loop of one
+ *                            count-ensemble chunk: draws (through
+ *                            numpy's own bounded-integer routine, so
+ *                            the stream is Generator.integers'), the
+ *                            window step below, retirement, and window
+ *                            adaptation -- one foreign call per chunk;
  *   repro_ensemble_round  -- the count-ensemble collision-bounded
- *                            window step (count_ensemble_engine.py's
- *                            per-round sort/cut/apply, re-expressed as
- *                            a hash-based first-retouch scan plus a
+ *                            window step on pre-drawn values
+ *                            (count_ensemble_engine.py's per-round
+ *                            sort/cut/apply, re-expressed as a
+ *                            hash-based first-retouch scan plus a
  *                            sequential prefix apply with exact settle
  *                            detection);
  *   repro_count_block     -- the count engine's fused Fenwick-tree
@@ -21,7 +26,7 @@
  *                            (gather, table lookup, scatter,
  *                            incremental count update).
  *
- * All three take the packed transition table built by
+ * All of them take the packed transition table built by
  * repro.sim.kernels.pack_transition_table: one int64 per ordered
  * state pair holding the successor states, the productive flag, and
  * the unanimity-class count deltas (see PT_* below), so the apply
@@ -30,15 +35,18 @@
  * Numeric contracts (guarded on the Python side):
  *   n  <= 2^26   so n(n-1) < 2^52 (exact double divmod) and positions
  *                fit the int32 scratch arrays;
- *   live < 2^16  so the row epoch fits a hash entry's top half;
  *   W  <  2^16   so the slot index fits a hash entry's bottom half
  *                (follows from the 4096 window cap);
  *   s  <= 2^12   successor states fit the packed table's 16-bit
  *                fields.
  */
 
+#include <stdbool.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
+
+#include "numpy/random/bitgen.h"
 
 #define EXPORT __attribute__((visibility("default")))
 
@@ -91,13 +99,66 @@ static inline int64_t decode_pos(const int32_t *cum,
     return k;
 }
 
-/* Hash entries are 32 bits -- (row + 1) << 16 | slot -- and the
- * position a slot refers to lives in pos[slot], so a probe match is
- * verified with one extra pos[] load instead of widening the entry.
- * The row epoch in the top half makes clearing free (stale entries
- * from earlier rows are claimed lazily); H = 32w keeps chains short
- * enough that the probe loop's branch is almost always right. */
+/* Hash entries are 32 bits -- epoch << 16 | slot -- and the position a
+ * slot refers to lives in pos[slot], so a probe match is verified with
+ * one extra pos[] load instead of widening the entry.  Every row pass
+ * takes a fresh epoch, so stale entries from earlier rows (and earlier
+ * rounds) are claimed lazily; the table is cleared only when the
+ * 16-bit epoch wraps.  H = 32w keeps chains short enough that the
+ * probe loop's branch is almost always right. */
 #define HASH_MULT 0x9E3779B97F4A7C15ULL
+#define EPOCH_LIMIT 0xFFFF
+
+/* Work buffers of the window step, sized once for the largest window
+ * (w_max) and state count a batch can reach. */
+typedef struct {
+    uint32_t *ht;        /* hash table, hash_cap entries */
+    int64_t hash_cap;
+    uint32_t epoch;      /* last epoch handed out (0 = never) */
+    int32_t *pos;        /* 2 w_max slot positions */
+    int32_t *st;         /* 2 w_max round-start decodes */
+    int32_t *ni, *nj;    /* w_max post-interaction states */
+    int32_t *cum;        /* s inclusive prefix sums */
+    int16_t *bucket;     /* DECODE_BUCKETS position -> state hints */
+} round_scratch;
+
+static int64_t hash_size(int64_t w)
+{
+    int64_t H = 1;
+    while (H < 32 * w)
+        H <<= 1;
+    return H;
+}
+
+static void scratch_free(round_scratch *sc)
+{
+    free(sc->ht);
+    free(sc->pos);
+    free(sc->st);
+    free(sc->ni);
+    free(sc->nj);
+    free(sc->cum);
+    free(sc->bucket);
+}
+
+static int scratch_init(round_scratch *sc, int64_t w_max, int64_t s)
+{
+    sc->hash_cap = hash_size(w_max);
+    sc->epoch = 0;
+    sc->ht = calloc((size_t)sc->hash_cap, sizeof(uint32_t));
+    sc->pos = malloc((size_t)(2 * w_max) * sizeof(int32_t));
+    sc->st = malloc((size_t)(2 * w_max) * sizeof(int32_t));
+    sc->ni = malloc((size_t)w_max * sizeof(int32_t));
+    sc->nj = malloc((size_t)w_max * sizeof(int32_t));
+    sc->cum = malloc((size_t)s * sizeof(int32_t));
+    sc->bucket = malloc((size_t)DECODE_BUCKETS * sizeof(int16_t));
+    if (!sc->ht || !sc->pos || !sc->st || !sc->ni || !sc->nj
+            || !sc->cum || !sc->bucket) {
+        scratch_free(sc);
+        return -1;
+    }
+    return 0;
+}
 
 /* The collision-bounded window step for one round, all rows.
  *
@@ -122,17 +183,16 @@ static inline int64_t decode_pos(const int32_t *cum,
  * consumed/round_prod keep full-round values because the numpy path's
  * window adaptation and step accounting use them for every row.
  */
-EXPORT void repro_ensemble_round(
+static void round_rows(
     const int64_t *raw, int64_t live, int64_t w, int64_t n, int64_t s,
     int64_t *counts, const int64_t *remaining,
     const int64_t *ptab, const int64_t *cls,
     int64_t *consumed, int64_t *round_prod, int64_t *settled,
-    int64_t *settle_step, int64_t *settle_prod, int64_t *decision)
+    int64_t *settle_step, int64_t *settle_prod, int64_t *decision,
+    round_scratch *sc)
 {
     const int64_t W = 2 * w;
-    int64_t H = 1;
-    while (H < 32 * w)
-        H <<= 1;
+    const int64_t H = hash_size(w);
     int hbits = 0;
     for (int64_t t = H; t > 1; t >>= 1)
         hbits++;
@@ -144,19 +204,21 @@ EXPORT void repro_ensemble_round(
         bshift++;
     const int64_t nb = ((n - 1) >> bshift) + 1;
 
-    uint32_t *ht = calloc((size_t)H, sizeof(uint32_t));
-    int32_t *pos = malloc((size_t)W * sizeof(int32_t));
-    int32_t *st = malloc((size_t)W * sizeof(int32_t));
-    int32_t *ni = malloc((size_t)w * sizeof(int32_t));
-    int32_t *nj = malloc((size_t)w * sizeof(int32_t));
-    int32_t *cum = malloc((size_t)s * sizeof(int32_t));
-    int16_t *bucket = malloc((size_t)nb * sizeof(int16_t));
+    uint32_t *ht = sc->ht;
+    int32_t *pos = sc->pos, *st = sc->st, *ni = sc->ni, *nj = sc->nj;
+    int32_t *cum = sc->cum;
+    int16_t *bucket = sc->bucket;
     const double inv = 1.0 / (double)(n - 1);
 
     for (int64_t row = 0; row < live; row++) {
         const int64_t *rr = raw + row * w;
         int64_t *crow = counts + row * s;
-        const uint32_t tag = (uint32_t)(row + 1) << 16;
+        if (sc->epoch == EPOCH_LIMIT) {
+            memset(ht, 0, (size_t)sc->hash_cap * sizeof(uint32_t));
+            sc->epoch = 0;
+        }
+        const uint32_t epoch = ++sc->epoch;
+        const uint32_t tag = epoch << 16;
 
         /* positions: even slots initiators, odd slots responders */
         for (int64_t t = 0; t < W; t += 2) {
@@ -169,15 +231,14 @@ EXPORT void repro_ensemble_round(
 
         /* first re-touch: insert slots in time order; the first slot
          * whose position is already present is t_star, and the stored
-         * entry is its (unique) previous occurrence.  Stale entries
-         * from earlier rows are claimed lazily via the epoch tag. */
+         * entry is its (unique) previous occurrence. */
         int64_t t_star = W, prev = -1;
         for (int64_t t = 0; t < W; t++) {
             const uint64_t p = (uint64_t)(uint32_t)pos[t];
             uint64_t h = (p * HASH_MULT) >> hshift;
             for (;;) {
                 const uint32_t e = ht[h];
-                if ((e >> 16) != (uint32_t)(row + 1)) {
+                if ((e >> 16) != epoch) {
                     ht[h] = tag | (uint32_t)t;
                     break;
                 }
@@ -295,7 +356,7 @@ EXPORT void repro_ensemble_round(
                     uint64_t h = (p * HASH_MULT) >> hshift;
                     for (;;) {
                         const uint32_t e = ht[h];
-                        if ((e >> 16) != (uint32_t)(row + 1))
+                        if ((e >> 16) != epoch)
                             break;
                         const int64_t found = e & 0xFFFF;
                         if (pos[found] == (int32_t)p) {
@@ -335,14 +396,156 @@ EXPORT void repro_ensemble_round(
         }
         round_prod[row] = rp;
     }
+}
 
-    free(ht);
-    free(pos);
-    free(st);
-    free(ni);
-    free(nj);
-    free(cum);
-    free(bucket);
+/* One round on pre-drawn values (the arguments of round_rows);
+ * returns -1 when the work buffers cannot be allocated. */
+EXPORT int64_t repro_ensemble_round(
+    const int64_t *raw, int64_t live, int64_t w, int64_t n, int64_t s,
+    int64_t *counts, const int64_t *remaining,
+    const int64_t *ptab, const int64_t *cls,
+    int64_t *consumed, int64_t *round_prod, int64_t *settled,
+    int64_t *settle_step, int64_t *settle_prod, int64_t *decision)
+{
+    round_scratch sc;
+    if (scratch_init(&sc, w, s))
+        return -1;
+    round_rows(raw, live, w, n, s, counts, remaining, ptab, cls,
+               consumed, round_prod, settled, settle_step, settle_prod,
+               decision, &sc);
+    scratch_free(&sc);
+    return 0;
+}
+
+/* numpy's bounded-integer fill (numpy/random/lib/libnpyrandom.a): the
+ * routine behind Generator.integers(low, high, size, dtype=np.int64)
+ * with off = low and rng = high - 1 - low.  Declared here because
+ * distributions.h pulls in Python.h. */
+void random_bounded_uint64_fill(bitgen_t *bitgen_state, uint64_t off,
+                                uint64_t rng, intptr_t cnt,
+                                bool use_masked, uint64_t *out);
+
+/* Generator.integers(0, rng + 1, size=cnt, dtype=np.int64) into out;
+ * the load-time check compares it with numpy. */
+EXPORT void repro_bounded_fill(void *bitgen, int64_t rng, int64_t cnt,
+                               int64_t *out)
+{
+    random_bounded_uint64_fill((bitgen_t *)bitgen, 0, (uint64_t)rng,
+                               (intptr_t)cnt, false, (uint64_t *)out);
+}
+
+/* The whole clean trial loop of one count-ensemble chunk: T trials
+ * from the rows of counts until each settles or spends budget
+ * interactions.  Mirrors CountEnsembleEngine._run_ensemble_clean
+ * round for round -- one Generator.integers(0, n(n-1), (live, w))
+ * draw from bitgen, the window step, retirement with row compaction,
+ * and the window rule int(1.3 * mean(consumed)) + 2 clipped to
+ * [w_min, w_cap] (sums of consumed stay below 2^53, so the double mean
+ * equals numpy's) -- so the stream and every result are bit-identical
+ * to the numpy path.  The caller holds the bit generator's lock.
+ *
+ * In:  counts (T, s) start rows; window the first round's window.
+ * Out: counts (T, s) each trial's final row, in trial order;
+ *      steps / productive / settled / decision (T,) per trial
+ *      (decision -1 when unsettled); totals = {rounds, drawn}.
+ * Returns 0, or -1 when the work buffers cannot be allocated.
+ */
+EXPORT int64_t repro_ensemble_batch(
+    void *bitgen, int64_t T, int64_t n, int64_t s, int64_t budget,
+    int64_t window, int64_t w_min, int64_t w_cap,
+    int64_t *counts, const int64_t *ptab, const int64_t *cls,
+    int64_t *steps_out, int64_t *prod_out, int64_t *settled_out,
+    int64_t *decision_out, int64_t *totals)
+{
+    const uint64_t rng = (uint64_t)(n * (n - 1) - 1);
+    round_scratch sc;
+    if (scratch_init(&sc, w_cap, s))
+        return -1;
+    int64_t *live_counts = malloc((size_t)(T * s) * sizeof(int64_t));
+    int64_t *raw = malloc((size_t)(T * w_cap) * sizeof(int64_t));
+    int64_t *per_row = malloc((size_t)(10 * T) * sizeof(int64_t));
+    if (!live_counts || !raw || !per_row) {
+        free(live_counts);
+        free(raw);
+        free(per_row);
+        scratch_free(&sc);
+        return -1;
+    }
+    int64_t *ids = per_row, *steps = per_row + T, *prod = per_row + 2 * T,
+            *remaining = per_row + 3 * T, *consumed = per_row + 4 * T,
+            *round_prod = per_row + 5 * T, *settled = per_row + 6 * T,
+            *sstep = per_row + 7 * T, *sprod = per_row + 8 * T,
+            *dec = per_row + 9 * T;
+    memcpy(live_counts, counts, (size_t)(T * s) * sizeof(int64_t));
+    for (int64_t r = 0; r < T; r++) {
+        ids[r] = r;
+        steps[r] = 0;
+        prod[r] = 0;
+    }
+
+    int64_t live = T, rounds = 0, drawn = 0;
+    while (live) {
+        int64_t w = 0;
+        for (int64_t r = 0; r < live; r++) {
+            remaining[r] = budget - steps[r];     /* >= 1 */
+            if (remaining[r] > w)
+                w = remaining[r];
+        }
+        if (window < w)
+            w = window;
+        rounds++;
+        drawn += w * live;
+        random_bounded_uint64_fill((bitgen_t *)bitgen, 0, rng,
+                                   (intptr_t)(live * w), false,
+                                   (uint64_t *)raw);
+        round_rows(raw, live, w, n, s, live_counts, remaining, ptab, cls,
+                   consumed, round_prod, settled, sstep, sprod, dec, &sc);
+
+        int64_t consumed_sum = 0, keep = 0;
+        for (int64_t r = 0; r < live; r++) {
+            consumed_sum += consumed[r];
+            steps[r] += consumed[r];
+            prod[r] += round_prod[r];
+            const int64_t id = ids[r];
+            if (settled[r]) {
+                /* back the full-round totals out to the exact in-round
+                 * settle point */
+                steps_out[id] = steps[r] - consumed[r] + sstep[r];
+                prod_out[id] = prod[r] - round_prod[r] + sprod[r];
+                settled_out[id] = 1;
+                decision_out[id] = dec[r];
+            } else if (steps[r] >= budget) {
+                steps_out[id] = budget;
+                prod_out[id] = prod[r];
+                settled_out[id] = 0;
+                decision_out[id] = -1;
+            } else {
+                if (keep != r) {
+                    ids[keep] = id;
+                    steps[keep] = steps[r];
+                    prod[keep] = prod[r];
+                    memcpy(live_counts + keep * s, live_counts + r * s,
+                           (size_t)s * sizeof(int64_t));
+                }
+                keep++;
+                continue;
+            }
+            memcpy(counts + id * s, live_counts + r * s,
+                   (size_t)s * sizeof(int64_t));
+        }
+        const double mean = (double)consumed_sum / (double)live;
+        live = keep;
+        int64_t next = (int64_t)(1.3 * mean) + 2;
+        window = next < w_min ? w_min : (next > w_cap ? w_cap : next);
+    }
+    totals[0] = rounds;
+    totals[1] = drawn;
+
+    free(live_counts);
+    free(raw);
+    free(per_row);
+    scratch_free(&sc);
+    return 0;
 }
 
 /* Fenwick helpers over a one-based tree array (index 0 unused),

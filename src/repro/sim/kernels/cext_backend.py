@@ -1,16 +1,16 @@
 """C-extension kernel backend: compile on demand, bind via ctypes.
 
-ROADMAP item 2 allows either numba ``@njit`` kernels *or* "a small C
-extension"; this module is the latter.  ``_kernels.c`` is compiled
-once with the system C compiler into a content-addressed shared
-object under the user cache directory (keyed by a hash of the source,
-so editing the source triggers a rebuild and concurrent builders race
+``_kernels.c`` is compiled once with the system C compiler into a
+content-addressed shared object under the user cache directory (keyed
+by a hash of the source and the numpy version, so editing the source
+or upgrading numpy triggers a rebuild, and concurrent builders race
 benignly through an atomic rename), then loaded with ctypes.  No
-Python.h, no build-time dependency beyond a working ``cc``.
+Python.h; the build needs a working ``cc`` plus numpy's own headers
+and its static ``libnpyrandom.a``, whose bounded-integer routine the
+batch loop draws through so its stream is ``Generator.integers``'.
 
-The wrappers below expose the same three callables as
-:mod:`repro.sim.kernels.numba_backend` — ``ensemble_round``,
-``count_block``, ``batch_match`` — taking C-contiguous int64 numpy
+The wrappers below expose ``ensemble_batch``, ``ensemble_round``,
+``count_block`` and ``batch_match``, taking C-contiguous int64 numpy
 arrays.  Contracts (shapes, value ranges) are documented in
 ``_kernels.c``; the wrappers assert only what ctypes cannot survive
 without (dtype and contiguity).
@@ -45,13 +45,33 @@ def _cache_dir() -> Path:
     return base / "repro" / "kernels"
 
 
+def _numpy_random_paths() -> tuple[Path, Path]:
+    """numpy's C include directory and its static ``libnpyrandom.a``."""
+    include = Path(np.get_include())
+    library = Path(np.__file__).parent / "random" / "lib" / \
+        "libnpyrandom.a"
+    if not (include / "numpy" / "random" / "bitgen.h").exists() \
+            or not library.exists():
+        raise KernelBuildError(
+            f"numpy {np.__version__} ships no bitgen.h or "
+            f"libnpyrandom.a (looked under {include} and "
+            f"{library.parent})")
+    return include, library
+
+
+def _cache_tag() -> str:
+    """The ``.so`` cache key: the source, and the numpy whose random
+    library gets linked in."""
+    source = _SOURCE.read_bytes() + np.__version__.encode()
+    return hashlib.sha256(source).hexdigest()[:16]
+
+
 def build(force: bool = False) -> Path:
     """Compile ``_kernels.c`` (if needed) and return the ``.so`` path."""
-    source = _SOURCE.read_bytes()
-    tag = hashlib.sha256(source).hexdigest()[:16]
-    target = _cache_dir() / f"repro_kernels_{tag}.so"
+    target = _cache_dir() / f"repro_kernels_{_cache_tag()}.so"
     if target.exists() and not force:
         return target
+    include, library = _numpy_random_paths()
     try:
         target.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(suffix=".so", dir=target.parent)
@@ -61,7 +81,11 @@ def build(force: bool = False) -> Path:
             f"cannot create kernel cache dir {target.parent}: {exc}"
         ) from exc
     cc = os.environ.get("CC", "cc")
-    base_cmd = [cc, "-O3", "-fPIC", "-shared", str(_SOURCE), "-o", tmp]
+    # -ffp-contract=off keeps the window rule's double arithmetic
+    # rounding exactly like numpy's.
+    base_cmd = [cc, "-O3", "-fPIC", "-ffp-contract=off", "-shared",
+                f"-I{include}", str(_SOURCE), str(library), "-lm",
+                "-o", tmp]
     try:
         # -march=native first for the wide multiplies and cmovs; retry
         # plain -O3 for compilers/targets that reject the flag.
@@ -79,8 +103,7 @@ def build(force: bool = False) -> Path:
         os.replace(tmp, target)
     except FileNotFoundError as exc:
         raise KernelBuildError(
-            f"C compiler {cc!r} not found; install one or use the "
-            "numba backend (pip install -e .[jit])") from exc
+            f"C compiler {cc!r} not found") from exc
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -97,12 +120,43 @@ def _ptr(array: np.ndarray) -> int:
     return array.ctypes.data
 
 
+def _check_draws(lib) -> None:
+    """Raise unless the C draw path reproduces ``Generator.integers``.
+
+    The batch loop draws through numpy's static bounded-integer
+    routine; a numpy whose library and Python layer disagree (or a
+    changed bit generator layout) would silently move every stream.
+    Both 32-bit and 64-bit bounds, odd counts (the buffered 32-bit
+    half-words) and the generator state afterwards are compared.
+    """
+    for span in (2, 3, 1001 * 1000, (1 << 20) * ((1 << 20) - 1)):
+        ours = np.random.default_rng(span)
+        theirs = np.random.default_rng(span)
+        for count in (1, 7, 64):
+            out = np.empty(count, dtype=np.int64)
+            bit_generator = ours.bit_generator
+            with bit_generator.lock:
+                lib.repro_bounded_fill(
+                    bit_generator.ctypes.bit_generator, span - 1, count,
+                    _ptr(out))
+            expected = theirs.integers(0, span, size=count,
+                                       dtype=np.int64)
+            if not np.array_equal(out, expected):
+                raise KernelBuildError(
+                    "compiled draws differ from Generator.integers "
+                    f"(numpy {np.__version__}, span {span})")
+        if ours.bit_generator.state != theirs.bit_generator.state:
+            raise KernelBuildError(
+                "compiled draws leave a different generator state "
+                f"than Generator.integers (numpy {np.__version__})")
+
+
 def load():
     """Build/load the shared object; return the kernel namespace.
 
-    Raises :class:`KernelBuildError` when no compiler is available or
-    the build fails — callers treat that as "backend unusable" and
-    fall back.
+    Raises :class:`KernelBuildError` when no compiler is available,
+    the build fails, or the compiled draws do not reproduce numpy's --
+    callers treat that as "backend unusable" and fall back.
     """
     path = build()
     try:
@@ -111,7 +165,13 @@ def load():
         raise KernelBuildError(
             f"cannot load kernel library {path}: {exc}") from exc
 
-    lib.repro_ensemble_round.restype = None
+    lib.repro_bounded_fill.restype = None
+    lib.repro_bounded_fill.argtypes = [_P, _I64, _I64, _P]
+    lib.repro_ensemble_batch.restype = _I64
+    lib.repro_ensemble_batch.argtypes = [
+        _P, _I64, _I64, _I64, _I64, _I64, _I64, _I64, _P, _P, _P,
+        _P, _P, _P, _P, _P]
+    lib.repro_ensemble_round.restype = _I64
     lib.repro_ensemble_round.argtypes = [
         _P, _I64, _I64, _I64, _I64, _P, _P, _P, _P,
         _P, _P, _P, _P, _P, _P]
@@ -120,16 +180,33 @@ def load():
                                       _P, _P, _P]
     lib.repro_batch_match.restype = _I64
     lib.repro_batch_match.argtypes = [_P, _I64, _P, _P, _I64, _P]
+    _check_draws(lib)
+
+    def ensemble_batch(generator, counts, n, budget, window, w_min,
+                       w_cap, ptab, cls, steps, productive, settled,
+                       decision, totals):
+        bit_generator = generator.bit_generator
+        with bit_generator.lock:
+            status = lib.repro_ensemble_batch(
+                bit_generator.ctypes.bit_generator, counts.shape[0], n,
+                counts.shape[1], budget, window, w_min, w_cap,
+                _ptr(counts), _ptr(ptab), _ptr(cls), _ptr(steps),
+                _ptr(productive), _ptr(settled), _ptr(decision),
+                _ptr(totals))
+        if status:
+            raise MemoryError("ensemble batch work buffers")
 
     def ensemble_round(raw, counts, remaining, n, ptab, cls,
                        consumed, round_prod, settled, settle_step,
                        settle_prod, decision):
         live, w = raw.shape
-        lib.repro_ensemble_round(
+        status = lib.repro_ensemble_round(
             _ptr(raw), live, w, n, counts.shape[1], _ptr(counts),
             _ptr(remaining), _ptr(ptab), _ptr(cls),
             _ptr(consumed), _ptr(round_prod), _ptr(settled),
             _ptr(settle_step), _ptr(settle_prod), _ptr(decision))
+        if status:
+            raise MemoryError("ensemble round work buffers")
 
     def count_block(q, r, counts, ptab, cls, out):
         lib.repro_count_block(_ptr(q), _ptr(r), len(q), _ptr(counts),
@@ -145,6 +222,7 @@ def load():
         backend = "cext"
         library_path = str(path)
 
+    _Kernels.ensemble_batch = staticmethod(ensemble_batch)
     _Kernels.ensemble_round = staticmethod(ensemble_round)
     _Kernels.count_block = staticmethod(count_block)
     _Kernels.batch_match = staticmethod(batch_match)

@@ -5,7 +5,9 @@ loop; validation, budget resolution, fault handling, guards, and
 result assembly are inherited, so capability errors (adversarial
 schedulers, bulk-path blockers) and the faulted paths are *the same
 code* as the numpy engines.  The compiled loops are bit-exact: RNG
-draws stay in numpy with identical call shapes and order, so a JIT
+draws come from numpy's own routines with identical call shapes and
+order (drawn in Python, or inside the batch kernel through numpy's
+bounded-integer fill on the same bit generator), so a JIT
 engine returns byte-identical results to its twin for every seed —
 pinned baselines, KS suites, and runstore fingerprints all extend
 unchanged (the requested engine name keys the cache; see
@@ -120,11 +122,12 @@ class JitCountEngine(_JitCountLoopMixin, CountEngine):
 
 
 class JitCountEnsembleEngine(_JitCountLoopMixin, CountEnsembleEngine):
-    """:class:`CountEnsembleEngine` with the window step compiled.
+    """:class:`CountEnsembleEngine` with the clean trial loop compiled.
 
-    Only the clean collision-bounded round is compiled; the faulted
-    windowed loop, the single-run path's guards, and every capability
-    error are inherited numpy code.
+    One kernel call runs a whole clean chunk (draws, window steps,
+    retirement, window adaptation); the faulted windowed loop, the
+    single-run path's guards, and every capability error are inherited
+    numpy code.
     """
 
     name = "count-ensemble-jit"
@@ -137,94 +140,34 @@ class JitCountEnsembleEngine(_JitCountLoopMixin, CountEnsembleEngine):
                             telemetry, started, row_result, state_class,
                             class_matrix):
         if (n > MAX_KERNEL_N or num_trials > MAX_KERNEL_TRIALS):
-            # Beyond the packed-hash-entry contracts (far past paper
-            # scale): the numpy round is bit-identical, just slower.
+            # Beyond the kernel contracts (far past paper scale): the
+            # numpy loop is bit-identical, just slower.
             return super()._run_ensemble_clean(
                 base, n, num_trials, budget, generator, telemetry,
                 started, row_result, state_class, class_matrix)
         ptab, cls_arr = self._kernel_tables()
-        ensemble_round = self._kernels.ensemble_round
-
-        rounds = 0
-        drawn = 0
-        results = [None] * num_trials
-        counts = np.tile(base, (num_trials, 1))
-        if counts.dtype != np.int64:
-            counts = counts.astype(np.int64)
-        trial_ids = np.arange(num_trials)
-        productive = np.zeros(num_trials, dtype=np.int64)
-        steps_r = np.zeros(num_trials, dtype=np.int64)
-        live = num_trials
-        span = n * (n - 1)
         w_cap = _max_window(n)
         window = int(np.clip(int(0.9 * math.sqrt(n)), _MIN_WINDOW,
                              w_cap))
-        consumed_buf = np.empty(num_trials, dtype=np.int64)
-        prod_buf = np.empty(num_trials, dtype=np.int64)
-        settled_buf = np.empty(num_trials, dtype=np.int64)
-        sstep_buf = np.empty(num_trials, dtype=np.int64)
-        sprod_buf = np.empty(num_trials, dtype=np.int64)
-        dec_buf = np.empty(num_trials, dtype=np.int64)
-        rem_buf = np.empty(num_trials, dtype=np.int64)
-
-        while live:
-            remaining = rem_buf[:live]    # >= 1 for every live row
-            np.subtract(budget, steps_r, out=remaining)
-            w = min(window, int(remaining.max()))
-            rounds += 1
-            drawn += w * live
-            # The one RNG call per round, identical to the numpy path.
-            raw = generator.integers(0, span, size=(live, w),
-                                     dtype=np.int64)
-            consumed = consumed_buf[:live]
-            round_prod = prod_buf[:live]
-            settled = settled_buf[:live]
-            sstep = sstep_buf[:live]
-            sprod = sprod_buf[:live]
-            dec = dec_buf[:live]
-            ensemble_round(raw, counts, remaining, n, ptab, cls_arr,
-                           consumed, round_prod, settled,
-                           sstep, sprod, dec)
-            productive += round_prod
-            steps_r += consumed
-            # Rows usually survive a round untouched; only pay the
-            # retire bookkeeping when the kernel reported a settle or
-            # some row ran out of budget.
-            if settled.any() or int(steps_r.max()) >= budget:
-                settled_live = settled.astype(bool)
-                for posn in np.flatnonzero(settled_live):
-                    # The kernel's full-round consumed/round_prod back
-                    # out so the result carries the exact in-round
-                    # settle point.
-                    steps0 = int(steps_r[posn] - consumed[posn])
-                    prod0 = int(productive[posn] - round_prod[posn])
-                    results[trial_ids[posn]] = row_result(
-                        steps0 + int(sstep[posn]), True,
-                        int(dec[posn]), counts[posn],
-                        prod0 + int(sprod[posn]))
-                exhausted = steps_r >= budget
-                retire = settled_live | exhausted
-                if retire.any():
-                    for posn in np.flatnonzero(
-                            exhausted & ~settled_live):
-                        results[trial_ids[posn]] = row_result(
-                            budget, False, None, counts[posn],
-                            productive[posn])
-                    keep = ~retire
-                    counts = counts[keep]
-                    trial_ids = trial_ids[keep]
-                    productive = productive[keep]
-                    steps_r = steps_r[keep]
-                    live = len(trial_ids)
-                    if not live:
-                        break
-            window = int(np.clip(int(1.3 * consumed.mean()) + 2,
-                                 _MIN_WINDOW, w_cap))
-
+        counts = np.tile(np.asarray(base, dtype=np.int64),
+                         (num_trials, 1))
+        steps, productive, settled, decision = (
+            np.empty(num_trials, dtype=np.int64) for _ in range(4))
+        totals = np.zeros(2, dtype=np.int64)
+        # The whole trial loop -- draws from ``generator`` included --
+        # in one call; the numpy path's stream and results, exactly.
+        self._kernels.ensemble_batch(
+            generator, counts, n, int(budget), window, _MIN_WINDOW, w_cap,
+            ptab, cls_arr, steps, productive, settled, decision, totals)
+        results = [
+            row_result(steps[t], bool(settled[t]),
+                       int(decision[t]) if settled[t] else None,
+                       counts[t], productive[t])
+            for t in range(num_trials)]
         if telemetry.enabled:
             emit_chunk_telemetry(self, telemetry,
                                  time.perf_counter() - started, n,
-                                 results, rounds, drawn)
+                                 results, int(totals[0]), int(totals[1]))
         return results
 
 

@@ -75,8 +75,8 @@ def _init_worker(spec: RunSpec, collect: bool) -> None:
     _WORKER["initial"] = initial
     _WORKER["expected"] = expected
     # Kernel warm-up happens once per worker, never inside a job: the
-    # first numba call pays JIT compilation and the first cext call a
-    # compiler run, and neither belongs in a timed trial.  Never
+    # first cext load may pay a compiler run, which does not belong in
+    # a timed trial.  Never
     # fatal -- an unusable backend just means the engines run numpy.
     try:
         warm_up_for_spec(spec)

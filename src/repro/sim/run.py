@@ -17,12 +17,12 @@ whenever an interaction graph is supplied.  When a spec fans out
 several trials of a unanimity-settling protocol with a mid-sized
 state space, auto upgrades to a vectorized ensemble engine that
 advances the whole batch at once (exact per-trial chain, one shared
-generator): the token-matrix
-:class:`~repro.sim.ensemble_engine.EnsembleEngine` for small
-populations, the ``O(T*s)``-memory
-:class:`~repro.sim.count_ensemble_engine.CountEnsembleEngine` from
-``n >= COUNT_ENSEMBLE_MIN_N`` up.  Wherever auto lands on a count
-engine it upgrades to the compiled twin (``count-jit`` /
+generator): the ``O(T*s)``-memory
+:class:`~repro.sim.count_ensemble_engine.CountEnsembleEngine` from the
+measured crossover up, the token-matrix
+:class:`~repro.sim.ensemble_engine.EnsembleEngine` below it (see
+:func:`repro.sim.engines.ensemble_engine_name`).  Wherever auto lands
+on a count engine it upgrades to the compiled twin (``count-jit`` /
 ``count-ensemble-jit``, see :mod:`repro.sim.kernels`) when a kernel
 backend is usable — the twins draw identical RNG streams, so the
 upgrade never moves a result.  The approximate batch engine is never chosen
@@ -56,16 +56,13 @@ from ..telemetry.context import use as use_telemetry
 from . import engines as engine_registry
 from .count_ensemble_engine import CountEnsembleEngine
 from .engine import Engine
-from .engines import (
-    COUNT_ENSEMBLE_MIN_N,
-    ENSEMBLE_MAX_STATES,
-    NULL_SKIP_MAX_STATES,
-)
+from .engines import ENSEMBLE_MAX_STATES, NULL_SKIP_MAX_STATES
 from .ensemble_engine import EnsembleEngine
 from .results import RunResult, TrialStats
 
 __all__ = ["RunSpec", "simulate", "make_engine", "make_run_engine",
            "run", "run_majority", "run_trials", "resolve_trial_engine",
+           "auto_engine_name",
            "ENGINE_NAMES", "ENSEMBLE_CHUNK_TRIALS", "ensemble_chunks",
            "raise_unsettled"]
 
@@ -334,14 +331,8 @@ def make_run_engine(spec: RunSpec) -> Engine:
                            batch_fraction=spec.batch_fraction,
                            num_trials=1)
     if not isinstance(spec.engine, Engine) and spec.engine == "auto":
-        if getattr(spec.protocol, "is_round_based", False):
-            # Round-based message-passing protocols run on the rounds
-            # engine, which interprets byzantine_f as corrupted servers.
-            name = "rounds"
-        else:
-            name = ("agent" if faults.scheduler is not None
-                    or spec.graph is not None else "count")
-        return make_engine(spec.protocol, name, graph=spec.graph,
+        return make_engine(spec.protocol, _faulted_auto_name(spec),
+                           graph=spec.graph,
                            batch_fraction=spec.batch_fraction,
                            num_trials=1)
     engine = make_engine(spec.protocol, spec.engine, graph=spec.graph,
@@ -375,9 +366,8 @@ def resolve_trial_engine(spec: RunSpec) -> tuple[Engine | None,
     reports it as an ``engine.fallback`` telemetry event so the
     downgrade is observable.
 
-    ``"auto"`` routes by population size: batches at
-    ``n >= COUNT_ENSEMBLE_MIN_N`` take the count ensemble (memory
-    independent of ``n``), smaller ones the token ensemble.  Both
+    ``"auto"`` routes by population size through
+    :func:`repro.sim.engines.ensemble_engine_name`.  Both ensembles
     sample the count-engine chain exactly, so the routing threshold
     never changes result *distributions* (only streams).  An
     explicitly requested ensemble rejects unsupported arguments
@@ -390,16 +380,15 @@ def resolve_trial_engine(spec: RunSpec) -> tuple[Engine | None,
     else:
         explicit = engine in ("ensemble", "count-ensemble",
                               "count-ensemble-jit")
-    blockers = [name for name in _ENSEMBLE_BLOCKERS
-                if getattr(spec, name) is not None]
-    faults = active_faults(spec.faults)
     if explicit:
         name = engine.name if isinstance(engine, Engine) else engine
+        blockers = _ensemble_blockers(spec)
         if blockers:
             raise InvalidParameterError(
                 f"engine={name!r} advances all trials in bulk and does "
                 f"not support {', '.join(blockers)}; use a sequential "
                 "engine for per-run instrumentation")
+        faults = active_faults(spec.faults)
         if faults is not None and faults.scheduler is not None:
             raise InvalidParameterError(
                 f"engine={name!r} does not support adversarial fault "
@@ -411,12 +400,38 @@ def resolve_trial_engine(spec: RunSpec) -> tuple[Engine | None,
         # creation, and an unusable kernel backend falls back to the
         # numpy twin with its telemetry event.
         return engine_registry.create(spec.protocol, engine), None
-    if engine != "auto" or spec.num_trials < 2:
+    if engine != "auto":
+        return None, None
+    name, fallback = _auto_ensemble_name(spec)
+    if name is None:
+        return None, fallback
+    if name == "ensemble":
+        return EnsembleEngine(spec.protocol), None
+    # The count ensemble or its compiled twin; the numpy twin when no
+    # backend is usable (silently -- auto never promised a compiled
+    # engine).
+    return engine_registry.create(spec.protocol, name), None
+
+
+def _ensemble_blockers(spec: RunSpec) -> list[str]:
+    return [name for name in _ENSEMBLE_BLOCKERS
+            if getattr(spec, name) is not None]
+
+
+def _auto_ensemble_name(spec: RunSpec) -> tuple[str | None, str | None]:
+    """``"auto"``'s ensemble for ``spec`` by name, nothing constructed.
+
+    ``(name, None)`` when the batch takes a vectorized ensemble,
+    ``(None, reason)`` when it was eligible but declines, and
+    ``(None, None)`` when the per-trial path is simply the right one.
+    """
+    if spec.num_trials < 2:
         return None, None
     if getattr(spec.protocol, "is_round_based", False):
         # Round-based protocols advance on the rounds engine
         # (per-trial path); no vectorized ensemble exists for them.
         return None, None
+    faults = active_faults(spec.faults)
     if faults is not None and faults.scheduler is not None:
         # Adversarial schedulers need the agent engine (per-trial path).
         return None, None
@@ -425,6 +440,7 @@ def resolve_trial_engine(spec: RunSpec) -> tuple[Engine | None,
         # Null skipping wins outright here — a choice, not a fallback.
         # (It cannot inject faults, so faulted batches skip it.)
         return None, None
+    blockers = _ensemble_blockers(spec)
     if blockers:
         return None, "per-run instrumentation: " + ", ".join(blockers)
     if not getattr(spec.protocol, "unanimity_settles", False):
@@ -433,17 +449,37 @@ def resolve_trial_engine(spec: RunSpec) -> tuple[Engine | None,
         return None, (f"state space too large for the dense table "
                       f"({s} > {ENSEMBLE_MAX_STATES})")
     initial, _ = spec.resolve_input()
-    if (sum(initial.values()) >= COUNT_ENSEMBLE_MIN_N
-            and not (faults is not None and faults.byzantine_f)):
-        # Same upgrade the "auto" registry policy applies: the JIT
-        # twin when a kernel backend is usable, numpy otherwise
-        # (silently -- auto never promised a compiled engine).  The
-        # count-ensemble family has no byzantine path, so byzantine
-        # batches stay on the token ensemble at every n.
-        from .kernels import jit_engine_name
-        return engine_registry.create(
-            spec.protocol, jit_engine_name("count-ensemble")), None
-    return EnsembleEngine(spec.protocol), None
+    return engine_registry.ensemble_engine_name(
+        sum(initial.values()), faults=faults), None
+
+
+def auto_engine_name(spec: RunSpec) -> str:
+    """The engine ``"auto"`` runs ``spec`` on, by name only.
+
+    What :func:`simulate` would record as the resolved engine (the
+    compiled and numpy twins share a name up to the ``-jit`` suffix,
+    which callers comparing streams ignore).  Nothing is constructed
+    and no table is built, so the run store can check a cached
+    ``auto`` entry against the current routing on every hit.
+    """
+    name, _ = _auto_ensemble_name(spec)
+    if name is not None:
+        return name
+    if active_faults(spec.faults) is not None:
+        return _faulted_auto_name(spec)
+    return engine_registry.resolve_name("auto", spec.protocol,
+                                        graph=spec.graph, num_trials=1)
+
+
+def _faulted_auto_name(spec: RunSpec) -> str:
+    """``"auto"``'s per-trial engine under an active fault spec."""
+    if getattr(spec.protocol, "is_round_based", False):
+        # Round-based message-passing protocols run on the rounds
+        # engine, which interprets byzantine_f as corrupted servers.
+        return "rounds"
+    if spec.faults.scheduler is not None or spec.graph is not None:
+        return "agent"
+    return "count"
 
 
 def simulate(spec: RunSpec, *, stats: bool = False

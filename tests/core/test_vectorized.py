@@ -64,3 +64,33 @@ def test_kernel_on_large_m_spot_checks():
         expected = protocol.transition_index(int(index_x[k]),
                                              int(index_y[k]))
         assert (int(new_x[k]), int(new_y[k])) == expected
+
+
+class TestVectorizedTable:
+    """AVC's dense table comes from the arithmetic kernel in row
+    blocks; it must equal the per-pair fill byte for byte."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_equals_per_pair_fill(self, d):
+        from repro.protocols.base import PopulationProtocol
+
+        for m in range(1, 128, 2):
+            vectorized = AVCProtocol(m=m, d=d).transition_matrix()
+            per_pair = PopulationProtocol._build_transition_matrix(
+                AVCProtocol(m=m, d=d))
+            for table, expected in zip(vectorized, per_pair):
+                assert table.dtype == expected.dtype
+                assert table.tobytes() == expected.tobytes(), (m, d)
+
+    def test_skips_the_pair_cache_and_feeds_transition_index(self):
+        protocol = AVCProtocol(m=63, d=2)
+        out_x, out_y = protocol.transition_matrix()
+        assert not getattr(protocol, "_transition_cache", None)
+        s = protocol.num_states
+        for i, j in ((0, 0), (1, s - 1), (s // 2, 3), (s - 1, s - 2)):
+            assert protocol.transition_index(i, j) \
+                == (out_x[i, j], out_y[i, j])
+            new_x, new_y = protocol.transition(protocol.states[i],
+                                               protocol.states[j])
+            assert protocol.transition_index(i, j) \
+                == (protocol.index_of(new_x), protocol.index_of(new_y))

@@ -30,7 +30,7 @@ from repro.sim import (
     engines,
 )
 from repro.sim import kernels
-from repro.sim.engines import COUNT_ENSEMBLE_MIN_N
+from repro.sim.engines import count_ensemble_min_n
 from repro.sim.run import resolve_trial_engine
 
 PROTOCOL = AVCProtocol(m=9, d=1)
@@ -127,15 +127,16 @@ class TestMemoryBound:
 class TestRouting:
     def test_auto_routes_small_populations_to_token_ensemble(self):
         protocol = AVCProtocol(m=63, d=1)
-        spec = RunSpec(protocol, count_a=36, count_b=25, num_trials=8,
+        spec = RunSpec(protocol, count_a=9, count_b=6, num_trials=8,
                        seed=7)
+        assert 15 < count_ensemble_min_n()
         engine, fallback = resolve_trial_engine(spec)
         assert type(engine) is EnsembleEngine and fallback is None
 
     def test_auto_routes_large_populations_to_count_ensemble(self):
         protocol = AVCProtocol(m=63, d=1)
-        half = COUNT_ENSEMBLE_MIN_N // 2
-        spec = RunSpec(protocol, count_a=half + 51, count_b=half - 50,
+        half = count_ensemble_min_n() // 2
+        spec = RunSpec(protocol, count_a=half + 1, count_b=half,
                        seed=7, num_trials=8)
         engine, fallback = resolve_trial_engine(spec)
         # The auto policy upgrades to the JIT twin when a kernel
@@ -144,16 +145,38 @@ class TestRouting:
                     else CountEnsembleEngine)
         assert type(engine) is expected and fallback is None
 
+    def test_cut_depends_on_the_kernel_backend(self, monkeypatch):
+        monkeypatch.setattr(kernels, "default_backend", lambda: "cext")
+        assert count_ensemble_min_n() \
+            == engines.COUNT_ENSEMBLE_MIN_N["compiled"]
+        monkeypatch.setattr(kernels, "default_backend", lambda: None)
+        assert count_ensemble_min_n() \
+            == engines.COUNT_ENSEMBLE_MIN_N["numpy"]
+
     def test_registry_policy_uses_population_size(self):
         protocol = AVCProtocol(m=63, d=1)
+        cut = count_ensemble_min_n()
         assert engines.resolve_name("auto", protocol, num_trials=8,
-                                    n=COUNT_ENSEMBLE_MIN_N) \
+                                    n=cut) \
             == kernels.jit_engine_name("count-ensemble")
         assert engines.resolve_name("auto", protocol, num_trials=8,
-                                    n=COUNT_ENSEMBLE_MIN_N - 1) \
+                                    n=cut - 1) \
             == "ensemble"
         assert engines.resolve_name("auto", protocol, num_trials=8,
                                     n=None) == "ensemble"
+
+    def test_run_routing_asks_the_policy(self):
+        # resolve_trial_engine and the registry policy agree at and
+        # around the cut: the crossover lives in one place.
+        protocol = AVCProtocol(m=63, d=1)
+        cut = count_ensemble_min_n()
+        for n in (cut - 1, cut, cut + 1, 4 * cut + 1):
+            a = (n + 1) // 2
+            spec = RunSpec(protocol, count_a=a, count_b=n - a,
+                           num_trials=4, seed=0)
+            engine, _ = resolve_trial_engine(spec)
+            assert engine.name == engines.resolve_name(
+                "auto", protocol, num_trials=4, n=n)
 
     def test_explicit_name_creates_the_engine(self):
         engine = engines.create(PROTOCOL, "count-ensemble")

@@ -137,10 +137,17 @@ class TestRunTrialsRouting:
                           NullSkippingEngine)
 
     def test_auto_route_matches_explicit_ensemble(self):
+        # Either side of the population crossover, auto's stream is
+        # the stream of the ensemble it names explicitly.
+        from repro.sim.engines import ensemble_engine_name
+
         wide = AVCProtocol.with_num_states(18)
-        spec = RunSpec(wide, num_trials=12, seed=21, n=41,
-                       epsilon=5 / 41)
-        auto = run_trials(spec.replace(engine="auto"))
-        explicit = run_trials(spec.replace(engine="ensemble"))
-        assert [(r.steps, r.decision) for r in auto] \
-            == [(r.steps, r.decision) for r in explicit]
+        for n, advantage in ((15, 3), (41, 5)):
+            spec = RunSpec(wide, num_trials=12, seed=21, n=n,
+                           epsilon=advantage / n)
+            auto = run_trials(spec.replace(engine="auto"))
+            explicit = run_trials(
+                spec.replace(engine=ensemble_engine_name(n)))
+            assert [(r.steps, r.decision) for r in auto] \
+                == [(r.steps, r.decision) for r in explicit]
+        assert ensemble_engine_name(15) == "ensemble"

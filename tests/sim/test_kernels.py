@@ -19,7 +19,7 @@ from repro.sim import (
     engines,
     kernels,
 )
-from repro.sim.engines import COUNT_ENSEMBLE_MIN_N
+from repro.sim.engines import COUNT_ENSEMBLE_MIN_N, count_ensemble_min_n
 from repro.sim.ensemble_common import class_tables, flat_transition_tables
 from repro.telemetry import InMemorySink, Telemetry
 
@@ -99,9 +99,13 @@ class TestDisabledFallback:
 
     def test_auto_policy_resolves_to_numpy_names(self, jit_off):
         protocol = AVCProtocol(m=63, d=1)
+        assert count_ensemble_min_n() == COUNT_ENSEMBLE_MIN_N["numpy"]
         assert engines.resolve_name("auto", protocol, num_trials=8,
-                                    n=COUNT_ENSEMBLE_MIN_N) \
+                                    n=COUNT_ENSEMBLE_MIN_N["numpy"]) \
             == "count-ensemble"
+        assert engines.resolve_name("auto", protocol, num_trials=8,
+                                    n=COUNT_ENSEMBLE_MIN_N["numpy"] - 1) \
+            == "ensemble"
         assert engines.resolve_name("auto", protocol, num_trials=1) \
             == "count"
 
@@ -131,15 +135,15 @@ class TestDisabledFallback:
         # Both backends failing to load (import failure, no compiler)
         # is the same contract as REPRO_JIT=off, with the per-backend
         # errors surfaced in the reason.
+        monkeypatch.delenv("REPRO_JIT", raising=False)
         monkeypatch.setattr(
             kernels, "_try_load",
             lambda backend: (None, f"{backend}: boom"))
         kernels.reset_backend_cache()
         try:
             assert kernels.default_backend() is None
-            assert "numba: boom" in kernels.fallback_reason()
-            assert kernels.available() == {"numba": False,
-                                           "cext": False}
+            assert "cext: boom" in kernels.fallback_reason()
+            assert kernels.available() == {"cext": False}
             assert kernels.jit_engine_name("count-ensemble") \
                 == "count-ensemble"
         finally:
@@ -150,7 +154,7 @@ class TestDisabledFallback:
         # "auto" never promised a JIT engine, so resolving to the
         # numpy implementation emits no fallback event.
         sink = InMemorySink()
-        half = COUNT_ENSEMBLE_MIN_N // 2
+        half = COUNT_ENSEMBLE_MIN_N["numpy"] // 2
         spec = RunSpec(AVCProtocol(m=9, d=1), count_a=half + 51,
                        count_b=half - 50, num_trials=2, seed=0,
                        max_steps=5_000, engine="auto",
@@ -250,3 +254,112 @@ class TestBitIdentity:
             assert str(jit_err.value).replace(name,
                                               name.removesuffix("-jit")) \
                 == str(numpy_err.value)
+
+
+def _ensemble_tuples(engine, initial, *, trials, seed, max_steps):
+    generator = np.random.default_rng(seed)
+    results = engine.run_ensemble(initial, num_trials=trials,
+                                  rng=generator, max_steps=max_steps)
+    return ([(r.steps, r.settled, r.decision, r.productive_steps,
+              tuple(r.final_counts.values())) for r in results],
+            generator.bit_generator.state)
+
+
+@needs_backend
+class TestEnsembleBatch:
+    """The compiled batch loop against the numpy round loop."""
+
+    PROTOCOL = AVCProtocol.with_num_states(66)
+
+    @pytest.mark.parametrize("n, budgets", [
+        (3, (None, 1)),
+        (65, (None, 7)),
+        (1001, (None, 7, 1_300)),
+        (65537, (7, 20_000)),
+        (1 << 20, (7, 5_000)),
+    ])
+    @pytest.mark.parametrize("trials", [1, 2, 33, 128])
+    def test_byte_identical_to_numpy(self, n, budgets, trials):
+        from repro.sim.kernels.jit_engines import JitCountEnsembleEngine
+
+        a = n // 2 + max(1, n // 10)
+        initial = self.PROTOCOL.initial_counts(a, n - a)
+        numpy_engine = CountEnsembleEngine(self.PROTOCOL)
+        jit_engine = JitCountEnsembleEngine(self.PROTOCOL)
+        # Budgets run out mid-round (7, and windows that do not divide
+        # the larger ones); None runs every trial to its settle.
+        for max_steps in budgets:
+            for seed in (0, 1):
+                assert _ensemble_tuples(
+                    jit_engine, initial, trials=trials, seed=seed,
+                    max_steps=max_steps) == _ensemble_tuples(
+                    numpy_engine, initial, trials=trials, seed=seed,
+                    max_steps=max_steps)
+
+    def test_one_foreign_call_per_chunk(self):
+        calls = {"ensemble_batch": 0, "ensemble_round": 0}
+        backend = kernels.load()
+
+        class Counting:
+            def __getattr__(self, name):
+                function = getattr(backend, name)
+
+                def counted(*args, **kwargs):
+                    calls[name] = calls.get(name, 0) + 1
+                    return function(*args, **kwargs)
+                return counted
+
+        engine = engines.create(AVCProtocol(m=15, d=1),
+                                "count-ensemble-jit")
+        engine._kernels = Counting()
+        spec = RunSpec(AVCProtocol(m=15, d=1), n=101, epsilon=5 / 101,
+                       num_trials=300, seed=7, engine=engine)
+        assert len(run_trials(spec)) == 300
+        # 300 trials = chunks of 128 + 128 + 44.
+        assert calls == {"ensemble_batch": 3, "ensemble_round": 0}
+
+
+class TestLoadTimeCheck:
+    def test_mismatched_draws_raise_build_error(self):
+        from repro.sim.kernels import cext_backend
+
+        class WrongDraws:
+            @staticmethod
+            def repro_bounded_fill(bitgen, rng, count, out):
+                ctypes_out = np.ctypeslib.as_array(
+                    (np.ctypeslib.ctypes.c_int64 * count).from_address(
+                        out))
+                ctypes_out[:] = 0
+
+        with pytest.raises(cext_backend.KernelBuildError,
+                           match="Generator.integers"):
+            cext_backend._check_draws(WrongDraws())
+
+    def test_failed_check_falls_back_with_event(self, monkeypatch):
+        from repro.sim.kernels import cext_backend
+
+        def refuse():
+            raise cext_backend.KernelBuildError(
+                "compiled draws differ from Generator.integers")
+
+        monkeypatch.delenv("REPRO_JIT", raising=False)
+        monkeypatch.setattr(cext_backend, "load", refuse)
+        kernels.reset_backend_cache()
+        try:
+            assert kernels.default_backend() is None
+            sink = InMemorySink()
+            assert seed7_tuples("count-ensemble-jit",
+                                telemetry=Telemetry([sink])) \
+                == SEED7_BASELINE
+            (event,) = sink.events("engine.fallback")
+            assert "Generator.integers" in event["labels"]["reason"]
+        finally:
+            monkeypatch.undo()
+            kernels.reset_backend_cache()
+
+    def test_cache_tag_follows_the_numpy_version(self, monkeypatch):
+        from repro.sim.kernels import cext_backend
+
+        tag = cext_backend._cache_tag()
+        monkeypatch.setattr(cext_backend.np, "__version__", "0.0.0")
+        assert cext_backend._cache_tag() != tag
