@@ -56,10 +56,11 @@ class ConvergenceTimeout(SimulationError):
 class WorkerError(SimulationError):
     """A parallel worker process died before delivering its results.
 
-    Raised in place of :class:`concurrent.futures.process.BrokenProcessPool`
-    so callers can treat pool crashes (OOM kills, interpreter aborts)
-    as *transient* and retry — the runstore orchestrator does, with
-    capped backoff — while genuine simulation errors propagate.
+    Raised by :func:`~repro.sim.parallel.run_trials_parallel` in place
+    of :class:`concurrent.futures.process.BrokenProcessPool`, so callers
+    can tell a pool crash (OOM kill, interpreter abort) from a genuine
+    simulation error: the batch is a pure function of its seed and is
+    safe to run again.
     """
 
 

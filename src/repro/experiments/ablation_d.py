@@ -17,6 +17,7 @@ import argparse
 
 from ..core.avc import AVCProtocol
 from ..runstore import Orchestrator
+from ..sim.run import RunSpec
 from .config import Scale, resolve_scale
 from .io import format_table, write_csv
 from .runner import (
@@ -44,10 +45,10 @@ def ablation_d_rows(scale: Scale, *, seed: int = DEFAULT_SEED,
         protocol = AVCProtocol(m=scale.ablation_d_m, d=d)
         if progress is not None:
             progress(f"ablation-d: d={d} (s={protocol.num_states})")
-        row = orch.majority_point(
+        row = orch.spec_point(RunSpec(
             protocol, n=n, epsilon=epsilon,
-            trials=scale.ablation_d_trials,
-            seed=seed + index, engine="count")
+            num_trials=scale.ablation_d_trials,
+            seed=seed + index, engine="count"))
         row["d"] = d
         row["m"] = scale.ablation_d_m
         row["s"] = protocol.num_states

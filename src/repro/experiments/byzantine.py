@@ -53,6 +53,7 @@ from ..core.avc import AVCProtocol
 from ..faults import FaultSpec
 from ..protocols.four_state import FourStateProtocol
 from ..runstore import Orchestrator
+from ..sim.run import RunSpec
 from .config import Scale, resolve_scale
 from .io import format_table, write_csv
 from .plotting import ascii_chart
@@ -123,12 +124,12 @@ def byzantine_rows(scale: Scale, *, mode: str = "stubborn",
             if progress is not None:
                 progress(f"byzantine: {describe} "
                          f"protocol={protocol.name}")
-            row = orch.robustness_point(
+            row = orch.spec_point(RunSpec(
                 protocol, n=n, epsilon=epsilon,
-                trials=scale.robustness_trials,
+                num_trials=scale.robustness_trials,
                 seed=seed + 1000 * f_index + proto_index,
-                faults=faults, max_steps=scale.robustness_budget,
-                describe=describe)
+                faults=faults, max_steps=scale.robustness_budget),
+                kind="robustness-point", describe=describe)
             # In place, not dict(row, ...): in work-queue mode `row`
             # is a placeholder filled by drain(), and the store hands
             # out fresh copies, so augmenting it is safe either way.

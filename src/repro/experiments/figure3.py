@@ -38,6 +38,7 @@ from ..core.avc import AVCProtocol
 from ..protocols.four_state import FourStateProtocol
 from ..protocols.three_state import ThreeStateProtocol
 from ..runstore import Orchestrator, RunStore
+from ..sim.run import RunSpec
 from .config import Scale, resolve_scale
 from .io import format_table, write_csv
 from .plotting import ascii_chart
@@ -94,11 +95,11 @@ def figure3_rows(scale: Scale, *, seed: int = DEFAULT_SEED,
                 _protocols_for(n, avc_engine)):
             if progress is not None:
                 progress(f"figure3: n={n} protocol={protocol.name}")
-            row = orch.majority_point(
+            row = orch.spec_point(RunSpec(
                 protocol, n=n, epsilon=epsilon,
-                trials=scale.figure3_trials,
+                num_trials=scale.figure3_trials,
                 seed=seed + 1000 * point_index + proto_index,
-                engine=engine)
+                engine=engine))
             rows.append(row)
     orch.drain()
     return rows

@@ -25,6 +25,7 @@ import math
 
 from ..core.avc import AVCProtocol
 from ..runstore import Orchestrator
+from ..sim.run import RunSpec
 from .config import Scale, resolve_scale
 from .io import format_table, write_csv
 from .plotting import ascii_chart
@@ -78,11 +79,11 @@ def figure4_rows(scale: Scale, *, seed: int = DEFAULT_SEED,
             epsilon = advantage / n
             if progress is not None:
                 progress(f"figure4: s={s} eps={epsilon:.2e}")
-            row = orch.majority_point(
+            row = orch.spec_point(RunSpec(
                 protocol, n=n, epsilon=epsilon,
-                trials=scale.figure4_trials,
+                num_trials=scale.figure4_trials,
                 seed=seed + 10_000 * s_index + a_index,
-                engine=engine)
+                engine=engine))
             row["s"] = s
             row["s_times_epsilon"] = s * epsilon
             rows.append(row)

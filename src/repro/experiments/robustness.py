@@ -40,6 +40,7 @@ from ..faults import FaultSpec
 from ..protocols.four_state import FourStateProtocol
 from ..protocols.three_state import ThreeStateProtocol
 from ..runstore import Orchestrator
+from ..sim.run import RunSpec
 from .config import Scale, resolve_scale
 from .io import format_table, write_csv
 from .plotting import ascii_chart
@@ -122,12 +123,12 @@ def robustness_rows(scale: Scale, *, fault_kind: str = "flip",
             if progress is not None:
                 progress(f"robustness: {describe} "
                          f"protocol={protocol.name}")
-            row = orch.robustness_point(
+            row = orch.spec_point(RunSpec(
                 protocol, n=n, epsilon=epsilon,
-                trials=scale.robustness_trials,
+                num_trials=scale.robustness_trials,
                 seed=seed + 1000 * rate_index + proto_index,
-                faults=faults, max_steps=scale.robustness_budget,
-                describe=describe)
+                faults=faults, max_steps=scale.robustness_budget),
+                kind="robustness-point", describe=describe)
             # In place, not dict(row, ...): in work-queue mode `row`
             # is a placeholder filled by drain(), and the store hands
             # out fresh copies, so augmenting it is safe either way.

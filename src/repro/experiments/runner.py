@@ -264,5 +264,4 @@ def finish_sweep(orchestrator: Orchestrator) -> str:
             extra += f", {failures} helper(s) failed"
     return (f"runstore: {counters['cached']} cached, "
             f"{counters['computed']} computed "
-            f"({counters['resumed_chunks']} chunk(s) resumed, "
-            f"{counters['retries']} retries)" + extra)
+            f"({counters['resumed_chunks']} chunk(s) resumed)" + extra)

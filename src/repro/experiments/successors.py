@@ -36,6 +36,7 @@ import math
 
 from ..protocols import registry
 from ..runstore import Orchestrator
+from ..sim.run import RunSpec
 from .config import Scale, resolve_scale
 from .io import format_table, write_csv
 from .plotting import ascii_chart
@@ -86,11 +87,11 @@ def successors_rows(scale: Scale, *, seed: int = DEFAULT_SEED,
             if progress is not None:
                 progress(f"successors: n={n} protocol={protocol.name} "
                          f"s={protocol.num_states}")
-            row = orch.majority_point(
+            row = orch.spec_point(RunSpec(
                 protocol, n=n, epsilon=scale.successors_epsilon,
-                trials=scale.successors_trials,
+                num_trials=scale.successors_trials,
                 seed=seed + 1000 * point_index + proto_index,
-                engine=engine)
+                engine=engine))
             # In place, not dict(row): in work-queue mode `row` is a
             # placeholder filled by drain(), and the store hands out
             # fresh copies, so augmenting it is safe either way.

@@ -31,6 +31,7 @@ __all__ = [
     "fingerprint",
     "majority_point_key",
     "point_key",
+    "spec_from_key",
     "spec_key",
 ]
 
@@ -175,3 +176,22 @@ def spec_key(spec) -> dict:
         # committed cache entry — is unchanged by the fault subsystem.
         key["faults"] = faults.key()
     return key
+
+
+def spec_from_key(key: Mapping):
+    """The :class:`~repro.sim.run.RunSpec` a typed point's key addresses.
+
+    The inverse of :func:`spec_key` up to ``kind``: the key's ``trials``
+    is the spec's ``num_trials``, ``schema``/``kind`` are dropped and
+    the rest is the spec's wire form, rebuilt through
+    :func:`repro.serialize.spec_from_dict`.  Lets a committed entry be
+    checked against the current code (see
+    :func:`repro.runstore.orchestrator.stale_reason`) with no other
+    record of how it was requested.
+    """
+    from ..serialize import spec_from_dict
+
+    wire = {name: value for name, value in key.items()
+            if name not in ("schema", "kind", "trials")}
+    wire["num_trials"] = key["trials"]
+    return spec_from_dict(wire)

@@ -13,15 +13,13 @@ Layers, bottom up:
   queue keyed by fingerprint;
 * :mod:`~repro.service.workers` — worker threads running jobs through
   the ordinary :class:`~repro.runstore.orchestrator.Orchestrator`
-  (chunk checkpoints, retries, cache commits), with per-job JSONL
+  (chunk checkpoints, cache commits), with per-job JSONL
   traces and graceful-shutdown checkpointing;
 * :mod:`~repro.service.service` — :class:`SimulationService`, the
   transport-agnostic operations (+ durable queue for restart resume);
 * :mod:`~repro.service.app` — stdlib ASGI app (:func:`make_app`);
 * :mod:`~repro.service.http` — threaded stdlib HTTP bridge so
-  ``python -m repro serve`` needs no external server;
-* :mod:`~repro.service.fastapi_adapter` — optional FastAPI mount for
-  deployments that want OpenAPI docs (gated import).
+  ``python -m repro serve`` needs no external server.
 
 Quick start (in process)::
 

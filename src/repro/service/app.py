@@ -4,9 +4,7 @@ No framework: the module speaks the `ASGI 3.0`_ protocol directly, so
 any ASGI server (uvicorn, hypercorn, daphne) can host it, the bundled
 threaded bridge (:mod:`repro.service.http`) can serve it with nothing
 but the standard library, and the tests can drive it in-process with
-a ten-line client.  The optional FastAPI adapter
-(:mod:`repro.service.fastapi_adapter`) mounts the same operations for
-deployments that want OpenAPI docs.
+a ten-line client.
 
 Routes::
 

@@ -1,6 +1,6 @@
 """Service-level errors, each carrying its HTTP status.
 
-The ASGI layer (and the optional FastAPI adapter) translate these —
+The ASGI layer translates these —
 plus :class:`~repro.errors.InvalidParameterError` from spec parsing,
 which maps to 422 — into JSON error responses of the uniform shape
 ``{"error": <message>, "status": <code>}``.

@@ -1,8 +1,8 @@
 """The simulation service: HTTP-shaped operations over the run store.
 
 :class:`SimulationService` is transport-agnostic — the stdlib ASGI app
-(:mod:`repro.service.app`), the optional FastAPI adapter, and the
-tests all drive the same four operations:
+(:mod:`repro.service.app`) and the tests drive the same four
+operations:
 
 * :meth:`submit` — ``POST /runs``: parse a RunSpec wire form, answer
   cached fingerprints straight from the store (zero engine work),
@@ -34,7 +34,7 @@ import time
 from dataclasses import dataclass
 
 from ..errors import InvalidParameterError
-from ..runstore.fingerprint import fingerprint
+from ..runstore.fingerprint import fingerprint, spec_from_key
 from ..runstore.orchestrator import stale_reason
 from ..runstore.store import RunStore
 from ..sim.run import RunSpec
@@ -59,7 +59,6 @@ class ServiceConfig:
     rate_burst: float | None = None   #: bucket size (None: max(1, rate))
     max_wait: float = 60.0            #: cap on blocking ?wait= seconds
     poll_interval: float = 0.05       #: trace/wait polling granularity
-    max_attempts: int = 3             #: orchestrator retry budget
     resume: bool = True               #: re-enqueue pending jobs on start
 
 
@@ -86,8 +85,7 @@ class SimulationService:
             self.queue, self.store,
             num_workers=self.config.num_workers,
             on_done=self._record_done, on_failed=self._record_failed,
-            sinks=self.telemetry.sinks,
-            max_attempts=self.config.max_attempts)
+            sinks=self.telemetry.sinks)
         self.started_at: float | None = None
 
     # -- lifecycle ----------------------------------------------------
@@ -190,7 +188,10 @@ class SimulationService:
         """``GET /runs/{id}``: live job view or the committed entry.
 
         ``wait`` blocks (capped at ``config.max_wait`` seconds) until
-        the job finishes — long-polling for cheap clients.
+        the job finishes — long-polling for cheap clients.  A committed
+        ``auto`` entry the current routing would not produce (see
+        :func:`~repro.runstore.orchestrator.stale_reason`) is not
+        served: it answers as unknown, to be resubmitted.
         """
         started = time.perf_counter()
         job = self.queue.get(job_id)
@@ -200,11 +201,28 @@ class SimulationService:
             self._count_request("get", job.status, started)
             return self._job_view(job)
         entry = self.store.get(job_id)
+        if entry is not None and self._stale(entry):
+            self.telemetry.count("runstore.cache.stale", kind="service")
+            self._count_request("get", "stale", started)
+            raise UnknownJobError(
+                f"run {job_id!r} is stale; resubmit its spec")
         if entry is not None:
             self._count_request("get", "cached", started)
             return self._entry_view(job_id, entry)
         self._count_request("get", "unknown", started)
         raise UnknownJobError(f"no run under id {job_id!r}")
+
+    @staticmethod
+    def _stale(entry: dict) -> bool:
+        """Whether a committed entry is stale on this host.
+
+        Only ``auto`` entries can be; the spec is rebuilt from the key
+        for those alone, so ordinary reads parse nothing.
+        """
+        if (entry.get("meta") or {}).get("engine_requested") != "auto":
+            return False
+        spec = spec_from_key(entry["key"])
+        return stale_reason(entry, spec) is not None
 
     def list_runs(self, *, status: str | None = None,
                   include_store: bool = False, limit: int = 200) -> dict:

@@ -3,7 +3,7 @@
 Each worker claims jobs from the :class:`~repro.service.jobs.JobQueue`
 and runs them through a per-job
 :class:`~repro.runstore.orchestrator.Orchestrator` — the same
-cache/journal/retry machinery every CLI sweep uses — so a service job
+cache/journal machinery every CLI sweep uses — so a service job
 is committed to the run store exactly like a local one, checkpointed
 at the deterministic trial-chunk boundaries, and bit-identical to what
 ``simulate(spec)`` would return.
@@ -63,14 +63,10 @@ class WorkerPool:
         (the service's in-memory aggregate); each job additionally
         writes its own JSONL trace under the store's service dir,
         which is what ``GET /runs/{id}/trace`` streams.
-    max_attempts:
-        Retry budget per point for transient worker-pool failures,
-        forwarded to the orchestrator.
     """
 
     def __init__(self, queue: JobQueue, store, *, num_workers: int = 2,
-                 on_done=None, on_failed=None, sinks=(),
-                 max_attempts: int = 3):
+                 on_done=None, on_failed=None, sinks=()):
         if num_workers < 1:
             raise ValueError(
                 f"num_workers must be >= 1, got {num_workers}")
@@ -80,7 +76,6 @@ class WorkerPool:
         self._on_done = on_done
         self._on_failed = on_failed
         self._sinks = tuple(sinks)
-        self._max_attempts = max_attempts
         self._stop = threading.Event()
         self._threads: list[threading.Thread] = []
 
@@ -153,7 +148,6 @@ class WorkerPool:
         telemetry = Telemetry([JsonlTraceSink(trace_path), *self._sinks])
         orchestrator = Orchestrator(
             self.store, sweep=sweep_name(job.id), resume=True,
-            max_attempts=self._max_attempts,
             should_stop=self._stop.is_set,
             leases=leases, worker=worker_id)
         try:

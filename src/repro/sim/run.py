@@ -33,24 +33,28 @@ is no longer silent: an ``engine.fallback`` telemetry event records
 the reason.
 
 :func:`run`, :func:`run_majority`, and :func:`run_trials` remain as
-thin wrappers.  Each accepts a :class:`RunSpec` as its only
-positional argument; the historical keyword forms still work but emit
-:class:`DeprecationWarning` (CI runs the suite with
-``-W error::DeprecationWarning``, so in-repo code must use specs).
+thin wrappers, each taking a :class:`RunSpec` as its only positional
+argument.
+
+Every multi-trial batch, sequential, parallel or checkpointed by the
+run store, is split by one :class:`TrialPlan` (see :func:`plan_trials`):
+the engine, the :data:`ENSEMBLE_CHUNK_TRIALS`-trial chunk sizes, the
+spawned per-chunk seeds, and how chunk *i* runs.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Mapping
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Any
+
+import numpy as np
 
 from ..errors import ConvergenceTimeout, InvalidParameterError
 from ..faults import active_faults
 from ..protocols.base import MAJORITY_A, MAJORITY_B, MajorityProtocol, State
-from ..rng import ensure_rng, spawn
+from ..rng import ensure_rng
 from ..telemetry.context import current as current_telemetry
 from ..telemetry.context import use as use_telemetry
 from . import engines as engine_registry
@@ -60,7 +64,8 @@ from .engines import ENSEMBLE_MAX_STATES, NULL_SKIP_MAX_STATES
 from .ensemble_engine import EnsembleEngine
 from .results import RunResult, TrialStats
 
-__all__ = ["RunSpec", "simulate", "make_engine", "make_run_engine",
+__all__ = ["RunSpec", "TrialPlan", "simulate", "plan_trials",
+           "make_engine", "make_run_engine",
            "run", "run_majority", "run_trials", "resolve_trial_engine",
            "auto_engine_name",
            "ENGINE_NAMES", "ENSEMBLE_CHUNK_TRIALS", "ensemble_chunks",
@@ -272,9 +277,6 @@ class RunSpec:
         return spec_from_dict(payload)
 
 
-_SPEC_FIELDS = frozenset(f.name for f in fields(RunSpec))
-
-
 def make_engine(protocol, engine: str | Engine = "auto", *,
                 graph=None, batch_fraction: float = 0.05,
                 num_trials: int = 1) -> Engine:
@@ -482,6 +484,104 @@ def _faulted_auto_name(spec: RunSpec) -> str:
     return "count"
 
 
+class TrialPlan:
+    """How one batch's trials are split, seeded and run.
+
+    Built by :func:`plan_trials`.  ``ensemble`` is the engine whose
+    :meth:`~repro.sim.engine.Engine.run_ensemble` advances each chunk
+    in one call, or ``None`` for the per-trial path.  ``sizes`` is the
+    :func:`ensemble_chunks` partition and ``seeds`` the spawned
+    ``SeedSequence`` children: one per chunk on an ensemble, one per
+    trial otherwise.  Chunk ``i`` therefore always holds the same
+    trials on the same streams, whoever runs it: :func:`simulate`,
+    :func:`~repro.sim.parallel.run_trials_parallel` (which ships the
+    plan to its workers; the per-trial engine is rebuilt there), or
+    the run store's orchestrator, which journals each chunk and
+    replays it on resume.
+    """
+
+    def __init__(self, spec: RunSpec, ensemble: Engine | None):
+        self.spec = spec
+        self.ensemble = ensemble
+        self.sizes = ensemble_chunks(spec.num_trials)
+        count = len(self.sizes) if ensemble is not None \
+            else spec.num_trials
+        self.seeds = ensure_rng(spec.seed).bit_generator.seed_seq.spawn(
+            count)
+        self._engine = ensemble
+
+    def __getstate__(self):
+        # What a worker process needs: no telemetry (the parent merges
+        # shipped records), no engine (engines hold built tables and
+        # compiled-kernel handles; a worker builds its own on first use).
+        return dict(self.__dict__, spec=self.spec.replace(telemetry=None),
+                    _engine=None)
+
+    @property
+    def engine(self) -> Engine:
+        if self._engine is None:
+            self._engine = (resolve_trial_engine(self.spec)[0]
+                            if self.ensemble is not None
+                            else make_run_engine(self.spec))
+        return self._engine
+
+    def run_chunk(self, index: int) -> list[RunResult]:
+        """Run chunk ``index`` on fresh generators from its seeds.
+
+        With ``on_timeout="raise"`` an unsettled ensemble trial raises
+        :class:`ConvergenceTimeout` here (per-trial engines raise it
+        themselves).
+        """
+        if self.ensemble is None:
+            start = index * ENSEMBLE_CHUNK_TRIALS
+            return [self.run_trial(trial) for trial in
+                    range(start, start + self.sizes[index])]
+        spec = self.spec
+        initial, expected = spec.resolve_input()
+        results = self.engine.run_ensemble(
+            initial, num_trials=self.sizes[index],
+            rng=np.random.default_rng(self.seeds[index]),
+            expected=expected, max_steps=spec.max_steps,
+            max_parallel_time=spec.max_parallel_time, faults=spec.faults)
+        if spec.on_timeout == "raise":
+            raise_unsettled(results)
+        return results
+
+    def run_trial(self, index: int) -> RunResult:
+        """Run trial ``index`` of a per-trial plan."""
+        spec = self.spec
+        initial, expected = spec.resolve_input()
+        return self.engine.run(
+            initial, rng=np.random.default_rng(self.seeds[index]),
+            max_steps=spec.max_steps,
+            max_parallel_time=spec.max_parallel_time, expected=expected,
+            recorder=spec.recorder, event_observer=spec.event_observer,
+            faults=spec.faults, on_timeout=spec.on_timeout)
+
+
+def plan_trials(spec: RunSpec) -> TrialPlan:
+    """The one trial plan for ``spec``'s batch.
+
+    Resolves the engine (:func:`resolve_trial_engine`; an ``auto``
+    fallback is reported as an ``engine.fallback`` event and the batch
+    counted in ``sim.trials`` on the current telemetry), partitions
+    the trials with :func:`ensemble_chunks` and spawns the seeds from
+    ``spec.seed``.  Input validation and engine construction happen
+    once here, not once per trial.
+    """
+    telemetry = current_telemetry()
+    ensemble, fallback = resolve_trial_engine(spec)
+    if telemetry.enabled:
+        if fallback is not None:
+            telemetry.event("engine.fallback", requested="auto",
+                            reason=fallback, protocol=spec.protocol.name,
+                            num_trials=spec.num_trials)
+        telemetry.count("sim.trials", spec.num_trials,
+                        protocol=spec.protocol.name)
+    spec.resolve_input()
+    return TrialPlan(spec, ensemble)
+
+
 def simulate(spec: RunSpec, *, stats: bool = False
              ) -> list[RunResult] | TrialStats:
     """Run ``spec.num_trials`` independent trials; the one-door core.
@@ -497,60 +597,12 @@ def simulate(spec: RunSpec, *, stats: bool = False
     With ``stats=True`` the aggregated :class:`TrialStats` is returned
     instead of the raw result list.
     """
-    root = ensure_rng(spec.seed)
-    with use_telemetry(spec.telemetry) as telemetry:
-        ensemble, fallback = resolve_trial_engine(spec)
-        if telemetry.enabled:
-            if fallback is not None:
-                telemetry.event("engine.fallback", requested="auto",
-                                reason=fallback,
-                                protocol=spec.protocol.name,
-                                num_trials=spec.num_trials)
-            telemetry.count("sim.trials", spec.num_trials,
-                            protocol=spec.protocol.name)
-        if ensemble is not None:
-            results = _run_trials_ensemble(ensemble, spec, root)
-        else:
-            results = _run_trials_sequential(spec, root)
+    with use_telemetry(spec.telemetry):
+        plan = plan_trials(spec)
+        results = [result for index in range(len(plan.sizes))
+                   for result in plan.run_chunk(index)]
     if stats:
         return TrialStats.from_results(results)
-    return results
-
-
-def _run_trials_sequential(spec: RunSpec, root) -> list[RunResult]:
-    """Per-trial fan-out: one spawned child generator per trial.
-
-    Input validation and engine construction are hoisted out of the
-    trial loop — both are deterministic and rng-free, so hoisting
-    preserves bit-identical results while removing per-trial overhead.
-    ``num_trials=1`` keeps "auto" from re-picking the ensemble engine
-    after :func:`resolve_trial_engine` already declined it.
-    """
-    initial, expected = spec.resolve_input()
-    engine = make_run_engine(spec)
-    return [engine.run(initial, rng=child, max_steps=spec.max_steps,
-                       max_parallel_time=spec.max_parallel_time,
-                       expected=expected, recorder=spec.recorder,
-                       event_observer=spec.event_observer,
-                       faults=spec.faults,
-                       on_timeout=spec.on_timeout)
-            for child in spawn(root, spec.num_trials)]
-
-
-def _run_trials_ensemble(engine: Engine, spec: RunSpec,
-                         root) -> list[RunResult]:
-    """Trial fan-out through :meth:`run_ensemble`, chunk by chunk."""
-    initial, expected = spec.resolve_input()
-    sizes = ensemble_chunks(spec.num_trials)
-    results: list[RunResult] = []
-    for size, child in zip(sizes, spawn(root, len(sizes))):
-        results.extend(engine.run_ensemble(
-            initial, num_trials=size, rng=child, expected=expected,
-            max_steps=spec.max_steps,
-            max_parallel_time=spec.max_parallel_time,
-            faults=spec.faults))
-    if spec.on_timeout == "raise":
-        raise_unsettled(results)
     return results
 
 
@@ -566,8 +618,7 @@ def raise_unsettled(results) -> None:
 
 def _simulate_single(spec: RunSpec) -> RunResult:
     """``run``/``run_majority`` semantics: one execution on the *root*
-    generator (no child spawning), preserving legacy single-run
-    streams exactly."""
+    generator (no child spawning)."""
     initial, expected = spec.resolve_input()
     engine = make_run_engine(spec)
     with use_telemetry(spec.telemetry):
@@ -580,26 +631,12 @@ def _simulate_single(spec: RunSpec) -> RunResult:
                           on_timeout=spec.on_timeout)
 
 
-def _legacy_spec(caller: str, protocol, *, rng=None, seed=None,
-                 **kwargs) -> RunSpec:
-    """Build a :class:`RunSpec` from a deprecated keyword call."""
-    warnings.warn(
-        f"{caller}(protocol, ...) with individual keyword arguments is "
-        f"deprecated; build a repro.RunSpec and pass it as the only "
-        f"positional argument (see docs/api_tour.md)",
-        DeprecationWarning, stacklevel=3)
-    if seed is not None and rng is not None:
-        raise InvalidParameterError("give seed or rng, not both")
-    unknown = set(kwargs) - _SPEC_FIELDS
-    if unknown:
+def _require_spec(caller: str, spec, extra) -> None:
+    if not isinstance(spec, RunSpec):
         raise TypeError(
-            f"{caller}() got unexpected keyword arguments "
-            f"{sorted(unknown)}")
-    return RunSpec(protocol, seed=seed if rng is None else rng, **kwargs)
-
-
-def _reject_extras(caller: str, kwargs) -> None:
-    if kwargs:
+            f"{caller}() takes a repro.RunSpec, got "
+            f"{type(spec).__name__} (see docs/api_tour.md)")
+    if extra:
         raise InvalidParameterError(
             f"{caller}(spec) takes no extra keyword arguments; use "
             f"spec.replace(...) to vary a RunSpec")
@@ -612,59 +649,32 @@ def _require_single(caller: str, spec: RunSpec) -> None:
             f"run_trials() for num_trials={spec.num_trials}")
 
 
-def run(spec_or_protocol, initial_counts: Mapping[State, int] | None = None,
-        **kwargs) -> RunResult:
-    """Simulate one execution from an explicit initial configuration.
-
-    Preferred form: ``run(spec)`` with a single-trial :class:`RunSpec`.
-    The historical ``run(protocol, initial_counts, ...)`` keyword form
-    still works but emits a :class:`DeprecationWarning`.
-    """
-    if isinstance(spec_or_protocol, RunSpec):
-        if initial_counts is not None:
-            raise InvalidParameterError(
-                "run(spec) already carries the initial configuration")
-        _reject_extras("run", kwargs)
-        _require_single("run", spec_or_protocol)
-        return _simulate_single(spec_or_protocol)
-    spec = _legacy_spec("run", spec_or_protocol, initial=initial_counts,
-                        **kwargs)
+def run(spec: RunSpec, **extra) -> RunResult:
+    """Simulate one execution of a single-trial :class:`RunSpec`."""
+    _require_spec("run", spec, extra)
+    _require_single("run", spec)
     return _simulate_single(spec)
 
 
-def run_majority(spec_or_protocol, **kwargs) -> RunResult:
+def run_majority(spec: RunSpec, **extra) -> RunResult:
     """Simulate one majority computation and record correctness.
 
-    Preferred form: ``run_majority(spec)`` with a single-trial
-    :class:`RunSpec` using a majority input form (``n``/``epsilon`` or
-    ``count_a``/``count_b``).  The historical keyword form still works
-    but emits a :class:`DeprecationWarning`.
+    ``spec`` is a single-trial :class:`RunSpec` using a majority input
+    form (``n``/``epsilon`` or ``count_a``/``count_b``).
     """
-    if isinstance(spec_or_protocol, RunSpec):
-        _reject_extras("run_majority", kwargs)
-        _require_single("run_majority", spec_or_protocol)
-        return _simulate_single(spec_or_protocol)
-    spec = _legacy_spec("run_majority", spec_or_protocol, **kwargs)
+    _require_spec("run_majority", spec, extra)
+    _require_single("run_majority", spec)
     return _simulate_single(spec)
 
 
-def run_trials(spec_or_protocol, *, stats: bool = False, telemetry=None,
-               **kwargs) -> list[RunResult] | TrialStats:
-    """Repeat a majority run with independent random streams.
+def run_trials(spec: RunSpec, *, stats: bool = False, telemetry=None,
+               **extra) -> list[RunResult] | TrialStats:
+    """Repeat a run with independent random streams.
 
-    Preferred form: ``run_trials(spec)`` — equivalent to
-    :func:`simulate`, kept as the familiar name.  ``telemetry=...``
-    overrides the spec's telemetry for this call.  The historical
-    ``run_trials(protocol, num_trials=..., ...)`` keyword form still
-    works but emits a :class:`DeprecationWarning`.
+    Equivalent to :func:`simulate`, kept as the familiar name.
+    ``telemetry=...`` overrides the spec's telemetry for this call.
     """
-    if isinstance(spec_or_protocol, RunSpec):
-        _reject_extras("run_trials", kwargs)
-        spec = spec_or_protocol
-        if telemetry is not None:
-            spec = spec.replace(telemetry=telemetry)
-        return simulate(spec, stats=stats)
+    _require_spec("run_trials", spec, extra)
     if telemetry is not None:
-        kwargs["telemetry"] = telemetry
-    spec = _legacy_spec("run_trials", spec_or_protocol, **kwargs)
+        spec = spec.replace(telemetry=telemetry)
     return simulate(spec, stats=stats)

@@ -174,11 +174,12 @@ class TestSerialization:
 class TestRunStore:
     def test_round_points_cache_and_replay(self, tmp_path):
         orch = Orchestrator(RunStore(tmp_path / ".runstore"))
-        point = dict(n=100, epsilon=0.2, trials=3, seed=7,
-                     max_steps=500, faults=FaultSpec(byzantine_f=8))
-        first = orch.robustness_point(BenOrConsensus(), **point)
+        point = RunSpec(BenOrConsensus(), n=100, epsilon=0.2, num_trials=3,
+                        seed=7, max_steps=500,
+                        faults=FaultSpec(byzantine_f=8))
+        first = orch.spec_point(point, kind="robustness-point")
         assert orch.counters["computed"] == 1
-        second = orch.robustness_point(BenOrConsensus(), **point)
+        second = orch.spec_point(point, kind="robustness-point")
         assert orch.counters["cached"] == 1
         assert second == first
         assert first["settled_fraction"] == 1.0

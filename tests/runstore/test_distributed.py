@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from repro import AVCProtocol
+from repro import AVCProtocol, FaultSpec, RunSpec
 from repro.experiments.runner import measure_majority_point
 from repro.runstore import (
     LeaseLost,
@@ -41,6 +41,10 @@ POINT = dict(n=51, epsilon=5 / 51, trials=10, seed=11,
 
 def _store(tmp_path):
     return RunStore(tmp_path / ".runstore")
+
+
+def _spec(protocol, *, trials, **point):
+    return RunSpec(protocol, num_trials=trials, **point)
 
 
 class TestLeaseManager:
@@ -174,7 +178,7 @@ class TestCrossWorkerResume:
                             crash_on_second)
         a = Orchestrator(store, sweep="fig", worker="wa")
         with pytest.raises(RuntimeError, match="died mid-point"):
-            a.majority_point(protocol, **POINT)
+            a.spec_point(_spec(protocol, **POINT))
         monkeypatch.setattr(EnsembleEngine, "run_ensemble", intact)
 
     def test_peer_resumes_crashed_workers_chunks_bit_identical(
@@ -192,7 +196,7 @@ class TestCrossWorkerResume:
         # per-worker journal at init and resumes from A's boundary.
         b = Orchestrator(store, sweep="fig", resume=True, worker="wb",
                          leases=LeaseManager(store.leases_dir, "wb"))
-        row = b.majority_point(protocol, **POINT)
+        row = b.spec_point(_spec(protocol, **POINT))
         assert b.counters["resumed_chunks"] == 1
         assert row == reference
 
@@ -210,7 +214,7 @@ class TestCrossWorkerResume:
                          leases=LeaseManager(store.leases_dir, "wb"))
         self._crash_worker_a_mid_point(store, protocol, monkeypatch)
 
-        row = b.majority_point(protocol, **POINT)
+        row = b.spec_point(_spec(protocol, **POINT))
         assert b.counters["resumed_chunks"] == 1
         assert row == reference
 
@@ -244,11 +248,35 @@ class TestMergedJournals:
 
 
 class TestManifestWorkers:
+    @staticmethod
+    def _drain_via_helper(store, points, references):
+        """Queue ``points`` (``(spec, kind, describe)``) on a launcher,
+        let a manifest-only helper compute them all, and check that
+        the launcher's back-filled rows equal ``references``."""
+        lead = Orchestrator(
+            store, sweep="fig", defer=True, worker="lead",
+            leases=LeaseManager(store.leases_dir, "lead"))
+        rows = [lead.spec_point(spec, kind=kind, describe=describe)
+                for spec, kind, describe in points]
+        assert all(value is None
+                   for row in rows for value in row.values())
+        entries = lead.manifest()
+        assert len(entries) == len(points)
+        store.write_manifest("fig", entries)
+
+        counters = run_worker(store, "fig", worker_id="helper")
+        assert counters["computed"] == len(points)
+
+        lead.drain()  # every point already committed by the helper
+        lead.finish()
+        assert lead.counters["cached"] == len(points)
+        assert lead.counters["computed"] == 0
+        assert rows == references
+
     def test_generic_worker_drains_published_manifest(self, tmp_path):
         """A helper with no knowledge of the experiment computes the
         launcher's grid from the manifest; the launcher's placeholder
         rows back-fill from the store, byte-identical to local runs."""
-        store = _store(tmp_path)
         protocol = AVCProtocol.with_num_states(34)
         grid = [dict(n=n, epsilon=5 / n, trials=4, seed=3,
                      engine="ensemble") for n in (11, 21)]
@@ -257,26 +285,30 @@ class TestManifestWorkers:
             reference = measure_majority_point(protocol, **params)
             del reference["wall_seconds"]
             references.append(reference)
+        points = [(_spec(protocol, **params), "majority-point", None)
+                  for params in grid]
+        self._drain_via_helper(_store(tmp_path), points, references)
 
-        lead = Orchestrator(
-            store, sweep="fig", defer=True, worker="lead",
-            leases=LeaseManager(store.leases_dir, "lead"))
-        rows = [lead.majority_point(protocol, **params)
-                for params in grid]
-        assert all(value is None
-                   for row in rows for value in row.values())
-        entries = lead.manifest()
-        assert len(entries) == 2
-        store.write_manifest("fig", entries)
-
-        counters = run_worker(store, "fig", worker_id="helper")
-        assert counters["computed"] == 2
-
-        lead.drain()  # every point already committed by the helper
-        lead.finish()
-        assert lead.counters["cached"] == 2
-        assert lead.counters["computed"] == 0
-        assert rows == references
+    def test_generic_worker_drains_robustness_manifest(self, tmp_path):
+        """Robustness points cross the manifest with their kind and
+        ``describe`` label: the helper's rows, ``fault_model``
+        included, equal what the launcher computes on its own."""
+        protocol = AVCProtocol.with_num_states(34)
+        flips = FaultSpec(flip_prob=0.02, horizon=60)
+        points = [
+            (RunSpec(protocol, n=31, epsilon=5 / 31, num_trials=4, seed=3,
+                     faults=flips, max_steps=20_000),
+             "robustness-point", "flip@0.02"),
+            (RunSpec(protocol, n=31, epsilon=5 / 31, num_trials=4, seed=4,
+                     faults=None, max_steps=20_000),
+             "robustness-point", "fault-free"),
+        ]
+        local = Orchestrator()
+        references = [local.spec_point(spec, kind=kind, describe=describe)
+                      for spec, kind, describe in points]
+        assert [row["fault_model"] for row in references] == \
+            ["flip@0.02", "fault-free"]
+        self._drain_via_helper(_store(tmp_path), points, references)
 
     def test_missing_manifest_is_a_no_op(self, tmp_path):
         counters = run_worker(_store(tmp_path), "gone",

@@ -1,5 +1,8 @@
 """Fingerprint stability: the cache contract."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,8 +14,12 @@ from repro.runstore.fingerprint import (
     fingerprint,
     majority_point_key,
     point_key,
+    spec_from_key,
     spec_key,
 )
+
+COMMITTED = sorted((Path(__file__).resolve().parents[2] / "results"
+                    / ".runstore" / "objects").glob("*/*.json"))
 
 
 class TestCanonical:
@@ -128,3 +135,24 @@ class TestEngineKeyPolicy:
                        seed=7, engine=CountEnsembleEngine(protocol))
         with pytest.raises(ValueError, match="registered"):
             spec_key(spec)
+
+
+class TestSpecFromKey:
+    def test_committed_objects_are_committed(self):
+        assert len(COMMITTED) == 15
+
+    @pytest.mark.parametrize("path", COMMITTED,
+                             ids=[path.stem[:12] for path in COMMITTED])
+    def test_round_trips_every_committed_key(self, path):
+        entry = json.loads(path.read_text())
+        key = entry["key"]
+        rebuilt = spec_key(spec_from_key(key))
+        assert dict(rebuilt, kind=key["kind"]) == key
+        assert fingerprint(key) == entry["fingerprint"]
+
+    def test_count_form_and_options_round_trip(self):
+        spec = RunSpec(AVCProtocol(m=15, d=1), count_a=30, count_b=20,
+                       num_trials=3, seed=4, majority="B",
+                       engine="count", max_steps=5000,
+                       on_timeout="raise")
+        assert spec_key(spec_from_key(spec_key(spec))) == spec_key(spec)

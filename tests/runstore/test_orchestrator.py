@@ -1,4 +1,4 @@
-"""Orchestrator: caching, chunk-level resume, retries.
+"""Orchestrator: caching, chunk-level resume, failure propagation.
 
 The two acceptance properties of the run store live here:
 
@@ -11,16 +11,13 @@ import importlib
 
 import pytest
 
-from repro import AVCProtocol
-from repro.errors import WorkerError
+from repro import AVCProtocol, RunSpec
 from repro.experiments.config import Scale
 from repro.experiments.figure3 import figure3_rows
 from repro.experiments.io import write_csv
 from repro.experiments.runner import measure_majority_point
 from repro.runstore import Orchestrator, RunStore
 from repro.sim.ensemble_engine import EnsembleEngine
-import repro.runstore.orchestrator as orchestrator_module
-
 # ``repro.sim`` re-exports a *function* named ``run``, which shadows the
 # submodule on attribute access — go through importlib for the module.
 run_module = importlib.import_module("repro.sim.run")
@@ -39,6 +36,10 @@ def _store(tmp_path):
     return RunStore(tmp_path / ".runstore")
 
 
+def _spec(protocol, *, trials, **point):
+    return RunSpec(protocol, num_trials=trials, **point)
+
+
 class CrashAfter(Orchestrator):
     """Simulated mid-grid crash: die before the k-th point computes."""
 
@@ -46,11 +47,11 @@ class CrashAfter(Orchestrator):
         super().__init__(*args, **kwargs)
         self._remaining = fail_after
 
-    def majority_point(self, *args, **kwargs):
+    def spec_point(self, *args, **kwargs):
         if self._remaining == 0:
             raise RuntimeError("simulated crash mid-sweep")
         self._remaining -= 1
-        return super().majority_point(*args, **kwargs)
+        return super().spec_point(*args, **kwargs)
 
 
 class TestSweepResumeParity:
@@ -91,14 +92,13 @@ class TestSweepResumeParity:
                                  "warm cache")
 
         # Every simulation path the orchestrator can take.
-        monkeypatch.setattr(orchestrator_module, "make_run_engine",
-                            forbidden)
+        monkeypatch.setattr(run_module, "make_run_engine", forbidden)
         monkeypatch.setattr(EnsembleEngine, "run_ensemble", forbidden)
         warm = Orchestrator(store, sweep="figure3_tiny")
         rows = figure3_rows(TINY, seed=5, orchestrator=warm)
         assert rows == reference
         assert warm.counters == {"computed": 0, "cached": 6,
-                                 "resumed_chunks": 0, "retries": 0,
+                                 "resumed_chunks": 0,
                                  "trials": 0, "interactions": 0,
                                  "lease_reclaims": 0, "lease_lost": 0}
 
@@ -126,13 +126,13 @@ class TestChunkResume:
                             crash_on_second)
         crashed = Orchestrator(store, sweep="fig")
         with pytest.raises(RuntimeError, match="mid-point"):
-            crashed.majority_point(protocol, **POINT)
+            crashed.spec_point(_spec(protocol, **POINT))
         monkeypatch.setattr(EnsembleEngine, "run_ensemble", intact)
 
         # One chunk survived in the journal; resume replays it and
         # recomputes only the remaining two.
         resumed = Orchestrator(store, sweep="fig", resume=True)
-        row = resumed.majority_point(protocol, **POINT)
+        row = resumed.spec_point(_spec(protocol, **POINT))
         assert resumed.counters["resumed_chunks"] == 1
         assert row == reference
 
@@ -184,31 +184,6 @@ class TestGenericPoints:
 
 
 class TestRetries:
-    def test_worker_failures_retried_with_capped_backoff(self):
-        delays = []
-        attempts = {"n": 0}
-
-        def compute():
-            attempts["n"] += 1
-            if attempts["n"] <= 3:
-                raise WorkerError("pool died")
-            return {"ok": True}
-
-        orch = Orchestrator(max_attempts=4, backoff_base=10.0,
-                            backoff_cap=25.0, sleep=delays.append)
-        assert orch.point("thing", {}, compute) == {"ok": True}
-        assert delays == [10.0, 20.0, 25.0]  # doubled, then capped
-        assert orch.counters["retries"] == 3
-
-    def test_exhausted_retries_raise(self):
-        def compute():
-            raise WorkerError("pool died")
-
-        orch = Orchestrator(max_attempts=2, sleep=lambda _: None)
-        with pytest.raises(WorkerError):
-            orch.point("thing", {}, compute)
-        assert orch.counters["retries"] == 1
-
     def test_non_transient_errors_not_retried(self):
         attempts = {"n": 0}
 
@@ -216,28 +191,7 @@ class TestRetries:
             attempts["n"] += 1
             raise ValueError("a real bug")
 
-        orch = Orchestrator(max_attempts=3, sleep=lambda _: None)
+        orch = Orchestrator(sleep=lambda _: None)
         with pytest.raises(ValueError):
             orch.point("thing", {}, compute)
         assert attempts["n"] == 1
-
-    def test_chunk_level_worker_failure_retried(self, tmp_path,
-                                                monkeypatch):
-        monkeypatch.setattr(run_module, "ENSEMBLE_CHUNK_TRIALS", 4)
-        protocol = AVCProtocol.with_num_states(34)
-        reference = measure_majority_point(protocol, **POINT)
-        del reference["wall_seconds"]
-
-        intact = EnsembleEngine.run_ensemble
-        failures = {"n": 0}
-
-        def flaky(self, *args, **kwargs):
-            if failures["n"] == 0:
-                failures["n"] += 1
-                raise WorkerError("pool died")
-            return intact(self, *args, **kwargs)
-
-        monkeypatch.setattr(EnsembleEngine, "run_ensemble", flaky)
-        orch = Orchestrator(sleep=lambda _: None)
-        assert orch.majority_point(protocol, **POINT) == reference
-        assert orch.counters["retries"] == 1

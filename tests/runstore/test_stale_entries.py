@@ -139,3 +139,20 @@ class TestService:
             assert again["cached"] is True and again["row"] == fresh
         finally:
             service.stop(graceful=False)
+
+    def test_stale_committed_entry_is_not_served_by_get(self, tmp_path):
+        from repro.service.errors import UnknownJobError
+
+        spec = auto_spec()
+        store = RunStore.for_output_dir(tmp_path)
+        fresh = Orchestrator(store).spec_point(spec)
+        fp = fingerprint(spec.key())
+        service = SimulationService(config=ServiceConfig(
+            output_dir=str(tmp_path), num_workers=1, queue_size=4))
+        assert service.get(fp)["row"] == fresh  # fresh: served
+
+        rewrite_meta(store, fp, engine_resolved=other_ensemble(spec))
+        with pytest.raises(UnknownJobError, match="stale; resubmit"):
+            service.get(fp)
+        assert service.sink.total("runstore.cache.stale",
+                                  kind="service") == 1

@@ -1,11 +1,10 @@
-"""The deprecated kwargs forms of run/run_majority/run_trials.
+"""What is left of the pre-RunSpec keyword API: nothing but its streams.
 
-The one-door API takes a :class:`repro.RunSpec`; the pre-RunSpec
-signatures keep working but emit ``DeprecationWarning``.  These tests
-pin both halves of that contract: every legacy form warns, and the
-legacy path is bit-identical to the spec path (the ISSUE's seed-7
-acceptance check), so downstream callers can migrate with zero result
-drift.
+``run``/``run_majority``/``run_trials``/``run_trials_parallel`` take a
+:class:`repro.RunSpec` and nothing else.  The seed-7 values below were
+produced by the removed keyword forms; the spec forms must keep
+drawing exactly that randomness, so callers who migrated see zero
+result drift.
 """
 
 import pytest
@@ -22,33 +21,7 @@ from repro import (
 from repro.sim.parallel import run_trials_parallel
 
 
-def legacy(callable_, *args, **kwargs):
-    with pytest.warns(DeprecationWarning, match="repro.RunSpec"):
-        return callable_(*args, **kwargs)
-
-
 class TestEveryLegacyFormWarns:
-    def test_run(self):
-        result = legacy(run, ThreeStateProtocol(),
-                        {"A": 5, "B": 2, "_": 3}, seed=1)
-        assert result.settled
-
-    def test_run_majority(self):
-        result = legacy(run_majority, FourStateProtocol(), n=21,
-                        epsilon=1 / 21, seed=0)
-        assert result.settled
-
-    def test_run_trials(self):
-        results = legacy(run_trials, FourStateProtocol(), num_trials=2,
-                         seed=0, n=21, epsilon=1 / 21)
-        assert len(results) == 2
-
-    def test_run_trials_parallel(self):
-        results = legacy(run_trials_parallel, FourStateProtocol(),
-                         num_trials=2, seed=0, processes=2, n=21,
-                         epsilon=1 / 21)
-        assert len(results) == 2
-
     def test_spec_form_does_not_warn(self, recwarn):
         run_majority(RunSpec(FourStateProtocol(), n=21, epsilon=1 / 21,
                              seed=0))
@@ -58,56 +31,50 @@ class TestEveryLegacyFormWarns:
 
 class TestLegacyFormValidation:
     def test_unknown_kwarg_is_type_error(self):
-        with pytest.raises(TypeError):
-            legacy(run_majority, FourStateProtocol(), n=21,
-                   epsilon=1 / 21, sead=0)
+        with pytest.raises(TypeError, match="RunSpec"):
+            run_majority(FourStateProtocol(), n=21, epsilon=1 / 21,
+                         sead=0)
 
     def test_seed_and_rng_exclusive(self, rng):
-        with pytest.raises(InvalidParameterError):
-            legacy(run_majority, FourStateProtocol(), n=11,
-                   epsilon=1 / 11, seed=1, rng=rng)
+        spec = RunSpec(FourStateProtocol(), n=11, epsilon=1 / 11, seed=1)
+        with pytest.raises(InvalidParameterError, match="spec.replace"):
+            run_majority(spec, rng=rng)
 
     def test_legacy_rng_form_runs(self, rng):
-        result = legacy(run_majority, FourStateProtocol(), n=21,
-                        epsilon=1 / 21, rng=rng)
+        result = run_majority(RunSpec(FourStateProtocol(), n=21,
+                                      epsilon=1 / 21, seed=rng))
         assert result.settled
 
     def test_input_validation_still_applies(self):
         with pytest.raises(InvalidParameterError):
-            legacy(run_majority, FourStateProtocol(), n=10,
-                   epsilon=0.2, count_a=5, count_b=5)
+            run_majority(RunSpec(FourStateProtocol(), n=10, epsilon=0.2,
+                                 count_a=5, count_b=5))
 
 
 class TestSeed7BitIdentity:
-    """Legacy kwargs and RunSpec must draw identical randomness."""
+    """The spec forms draw the randomness the keyword forms drew."""
 
     def test_run_majority(self):
-        spec = RunSpec(FourStateProtocol(), n=31, epsilon=3 / 31, seed=7)
-        via_spec = run_majority(spec)
-        via_kwargs = legacy(run_majority, FourStateProtocol(), n=31,
-                            epsilon=3 / 31, seed=7)
-        assert via_spec == via_kwargs
+        result = run_majority(RunSpec(FourStateProtocol(), n=31,
+                                      epsilon=3 / 31, seed=7))
+        assert (result.steps, result.decision) == (792, 1)
+        assert dict(result.final_counts) == {"+1": 3, "+0": 28}
 
     def test_run(self):
-        initial = {"A": 18, "B": 13}
-        via_spec = run(RunSpec(ThreeStateProtocol(), initial=initial,
-                               seed=7))
-        via_kwargs = legacy(run, ThreeStateProtocol(), initial, seed=7)
-        assert via_spec == via_kwargs
+        result = run(RunSpec(ThreeStateProtocol(),
+                             initial={"A": 18, "B": 13}, seed=7))
+        assert (result.steps, result.decision) == (302, 0)
+        assert dict(result.final_counts) == {"B": 31}
 
     def test_run_trials(self):
-        spec = RunSpec(ThreeStateProtocol(), num_trials=5, seed=7,
-                       n=31, epsilon=3 / 31)
-        via_spec = run_trials(spec)
-        via_kwargs = legacy(run_trials, ThreeStateProtocol(),
-                            num_trials=5, seed=7, n=31, epsilon=3 / 31)
-        assert via_spec == via_kwargs
+        results = run_trials(RunSpec(ThreeStateProtocol(), num_trials=5,
+                                     seed=7, n=31, epsilon=3 / 31))
+        assert [(r.steps, r.decision) for r in results] == [
+            (293, 1), (110, 1), (306, 1), (182, 1), (215, 0)]
 
     def test_run_trials_parallel(self):
-        spec = RunSpec(ThreeStateProtocol(), num_trials=4, seed=7,
-                       n=31, epsilon=3 / 31)
-        via_spec = run_trials_parallel(spec, processes=2)
-        via_kwargs = legacy(run_trials_parallel, ThreeStateProtocol(),
-                            num_trials=4, seed=7, processes=2, n=31,
-                            epsilon=3 / 31)
-        assert via_spec == via_kwargs
+        results = run_trials_parallel(
+            RunSpec(ThreeStateProtocol(), num_trials=4, seed=7, n=31,
+                    epsilon=3 / 31), processes=2)
+        assert [(r.steps, r.decision) for r in results] == [
+            (293, 1), (110, 1), (306, 1), (182, 1)]

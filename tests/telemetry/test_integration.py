@@ -170,12 +170,13 @@ class TestOrchestratorCounters:
     def test_cache_hit_and_miss_across_a_resume_cycle(self, tmp_path):
         store = RunStore(tmp_path / ".runstore")
         protocol = AVCProtocol(m=5, d=1)
-        point = dict(n=31, epsilon=5 / 31, trials=4, seed=2)
+        point = RunSpec(protocol, n=31, epsilon=5 / 31, num_trials=4,
+                        seed=2)
 
         cold_sink = InMemorySink()
         with use(Telemetry([cold_sink])):
             cold = Orchestrator(store, sweep="t")
-            first = cold.majority_point(protocol, **point)
+            first = cold.spec_point(point)
             cold.finish()
         assert cold_sink.total("runstore.cache.miss") == 1
         assert cold_sink.total("runstore.cache.hit") == 0
@@ -185,7 +186,7 @@ class TestOrchestratorCounters:
         warm_sink = InMemorySink()
         with use(Telemetry([warm_sink])):
             warm = Orchestrator(store, sweep="t", resume=True)
-            second = warm.majority_point(protocol, **point)
+            second = warm.spec_point(point)
         assert warm_sink.total("runstore.cache.hit") == 1
         assert warm_sink.total("runstore.cache.miss") == 0
         assert warm_sink.spans("runstore.point") == []
