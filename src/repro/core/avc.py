@@ -49,10 +49,6 @@ from .states import (
 
 __all__ = ["AVCProtocol"]
 
-#: State pairs per row block of the vectorized table fill: bounds the
-#: kernel's temporaries to a few MB whatever ``s`` is.
-_TABLE_BLOCK_PAIRS = 1 << 16
-
 
 class AVCProtocol(MajorityProtocol):
     """Average-and-Conquer exact majority with parameters ``(m, d)``.
@@ -143,26 +139,19 @@ class AVCProtocol(MajorityProtocol):
 
         return AVCBatchKernel(self)
 
-    def _build_transition_matrix(self):
-        """The dense table from the arithmetic kernel, in row blocks.
+    def _transition_rows(self, start, stop):
+        """Rows ``start:stop`` of the dense table, from the kernel.
 
         Identical to the per-pair fill (pinned by
         ``tests/core/test_vectorized.py``) at a fraction of its cost:
         the n = 1001 point of Figure 3 has about 10^6 state pairs.
         """
-        kernel = self.make_batch_kernel()
         s = self.num_states
-        out_x = np.empty((s, s), dtype=np.int64)
-        out_y = np.empty((s, s), dtype=np.int64)
-        block = max(1, _TABLE_BLOCK_PAIRS // s)
-        columns = np.tile(np.arange(s, dtype=np.int64), block)
-        for start in range(0, s, block):
-            stop = min(start + block, s)
-            rows = np.repeat(np.arange(start, stop, dtype=np.int64), s)
-            new_x, new_y = kernel(rows, columns[:rows.size])
-            out_x[start:stop] = new_x.reshape(stop - start, s)
-            out_y[start:stop] = new_y.reshape(stop - start, s)
-        return out_x, out_y
+        rows = np.repeat(np.arange(start, stop, dtype=np.int64), s)
+        columns = np.tile(np.arange(s, dtype=np.int64), stop - start)
+        new_x, new_y = self.make_batch_kernel()(rows, columns)
+        return (new_x.reshape(stop - start, s),
+                new_y.reshape(stop - start, s))
 
     # ------------------------------------------------------------------
     # Outputs and convergence

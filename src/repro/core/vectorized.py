@@ -32,7 +32,9 @@ class AVCBatchKernel:
     """Apply the AVC transition to arrays of state indices."""
 
     def __init__(self, protocol: AVCProtocol):
-        self.protocol = protocol
+        # No reference back to ``protocol``: the protocol memoizes its
+        # kernel, and the cycle would keep both (and the protocol's
+        # memoized tables) alive until a full garbage collection.
         m, d = protocol.m, protocol.d
         self._m = m
         self._d = d

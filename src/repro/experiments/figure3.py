@@ -17,11 +17,14 @@ Protocol/engine choices:
 * "n-state AVC" uses ``s = n + 1`` states (``m = n - 2``, ``d = 1``):
   the paper's odd ``n`` values make exactly-``n`` states inadmissible
   for ``d = 1`` since ``s = m + 3`` must be even, so we take the
-  nearest admissible count.  It runs on the exact vectorized ensemble
-  engine by default (all trials of a point advanced at once); pass
-  ``engine="count"`` for the sequential exact engine or
-  ``engine="batch"`` for the approximate vectorized engine at paper
-  scale.
+  nearest admissible count.  It runs on ``engine="auto"`` by default,
+  which advances all trials of a point at once on an exact vectorized
+  ensemble: the compiled count ensemble from n = 17 when a kernel
+  backend is usable, the token ensemble below that or without one
+  (see ``docs/engines.md``).  Pass ``avc_engine="ensemble"`` (or
+  ``"count-ensemble"``) to pin an ensemble, ``"count"`` for the
+  sequential exact engine, or ``"batch"`` for the approximate
+  vectorized engine at paper scale.
 
 Expected shape (see EXPERIMENTS.md for measured values): the 4-state
 protocol's time grows linearly in ``n`` (orders of magnitude above the
@@ -79,7 +82,7 @@ def _protocols_for(n: int, avc_engine: str):
 
 
 def figure3_rows(scale: Scale, *, seed: int = DEFAULT_SEED,
-                 avc_engine: str = "ensemble", progress=None,
+                 avc_engine: str = "auto", progress=None,
                  orchestrator: Orchestrator | None = None) -> list[dict]:
     """Compute both Figure 3 panels; one row per (n, protocol).
 
@@ -111,9 +114,12 @@ def main(argv=None) -> int:
     parser.add_argument("--scale", default=None,
                         help="smoke | default | paper")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--avc-engine", default="ensemble",
-                        choices=("ensemble", "count", "batch", "agent"),
-                        help="engine for the n-state AVC runs")
+    parser.add_argument("--avc-engine", default="auto",
+                        choices=("auto", "ensemble", "count", "batch",
+                                 "agent"),
+                        help="engine for the n-state AVC runs (auto: "
+                             "the fastest exact engine for the point, "
+                             "a vectorized ensemble here)")
     add_sweep_arguments(parser, workers=True)
     add_telemetry_arguments(parser)
     args = parser.parse_args(argv)

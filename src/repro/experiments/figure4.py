@@ -16,6 +16,12 @@ population.
 
 Margins are chosen log-spaced with the agent-advantage rounded to odd
 integers (the populations are odd, so the split stays integral).
+
+Every point runs on ``engine="auto"`` by default: with a compiled
+kernel backend the ``s = 4`` row takes null skipping and the rest the
+compiled count ensemble; without one ``s <= 16`` takes null skipping
+and the larger ``s`` the token ensemble (see ``docs/engines.md``).
+All of them are exact.
 """
 
 from __future__ import annotations
@@ -66,7 +72,7 @@ def margin_advantages(n: int, per_decade: int) -> list[int]:
 
 
 def figure4_rows(scale: Scale, *, seed: int = DEFAULT_SEED,
-                 engine: str = "ensemble", progress=None,
+                 engine: str = "auto", progress=None,
                  orchestrator: Orchestrator | None = None) -> list[dict]:
     """One row per (s, eps) point, including the ``s * eps`` column."""
     orch = Orchestrator() if orchestrator is None else orchestrator
@@ -97,11 +103,12 @@ def main(argv=None) -> int:
     parser.add_argument("--scale", default=None,
                         help="smoke | default | paper")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--engine", default="ensemble",
-                        choices=("ensemble", "count", "batch"),
-                        help="ensemble advances all trials of a point "
-                             "at once (exact); batch trades exactness "
-                             "for speed at paper scale")
+    parser.add_argument("--engine", default="auto",
+                        choices=("auto", "ensemble", "count", "batch"),
+                        help="auto picks the fastest exact engine per "
+                             "point; ensemble advances all trials of a "
+                             "point at once (exact); batch trades "
+                             "exactness for speed at paper scale")
     add_sweep_arguments(parser, workers=True)
     add_telemetry_arguments(parser)
     args = parser.parse_args(argv)

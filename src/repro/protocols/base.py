@@ -59,6 +59,7 @@ __all__ = [
     "MAJORITY_B",
     "UNDECIDED",
     "MAX_DENSE_STATES",
+    "TABLE_BLOCK_PAIRS",
 ]
 
 State = Hashable
@@ -69,6 +70,13 @@ State = Hashable
 #: engines that require dense tables reject such protocols with a
 #: capability error (see :meth:`PopulationProtocol.supports_dense_tables`).
 MAX_DENSE_STATES = 4096
+
+#: State pairs per block of :meth:`PopulationProtocol.iter_transition_rows`:
+#: bounds a block consumer's temporaries to 64 KB per array whatever
+#: ``s`` is.  Packing AVC's s = 1002 table peaks 1.2 MB above the 8 MB
+#: table at this size and 2.6 MB above it at 2^14 pairs, in the same
+#: time; at 2^12 it takes twice as long.
+TABLE_BLOCK_PAIRS = 1 << 13
 
 # Output conventions for majority protocols (the paper's Y = {0, 1}).
 MAJORITY_A = 1  #: output value meaning "initial majority was A"
@@ -269,43 +277,60 @@ class PopulationProtocol(ABC):
         return cached
 
     def _build_transition_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """Fill the table behind :meth:`transition_matrix`, pair by pair.
-
-        Protocols whose transition is arithmetic (AVC) override this
-        with a vectorized fill that must return the identical tables.
-        """
+        """Fill the table behind :meth:`transition_matrix` from its row
+        blocks (:meth:`_transition_rows`)."""
         s = self.num_states
         out_x = np.empty((s, s), dtype=np.int64)
         out_y = np.empty((s, s), dtype=np.int64)
-        for i in range(s):
-            for j in range(s):
-                out_x[i, j], out_y[i, j] = self.transition_index(i, j)
+        for rows, block_x, block_y in self.iter_transition_rows():
+            out_x[rows] = block_x
+            out_y[rows] = block_y
         return out_x, out_y
 
-    def iter_transition_rows(self, block: int = 256
+    def _transition_rows(self, start: int, stop: int
+                         ) -> tuple[np.ndarray, np.ndarray]:
+        """Rows ``start:stop`` of the dense table, pair by pair.
+
+        Protocols whose transition is arithmetic (AVC) override this
+        with a vectorized fill that must return the identical rows.
+        """
+        s = self.num_states
+        out_x = np.empty((stop - start, s), dtype=np.int64)
+        out_y = np.empty((stop - start, s), dtype=np.int64)
+        for i in range(start, stop):
+            for j in range(s):
+                out_x[i - start, j], out_y[i - start, j] = \
+                    self.transition_index(i, j)
+        return out_x, out_y
+
+    def iter_transition_rows(self, block: int | None = None
                              ) -> Iterator[tuple[slice, np.ndarray,
                                                  np.ndarray]]:
         """Chunked transition-table rows: ``(rows, out_x, out_y)``.
 
-        Yields blocks of at most ``block`` initiator rows with the
-        corresponding ``(len(rows), s)`` index tables.  Peak memory is
-        ``O(block * s)`` instead of ``O(s^2)``, so consumers that scan
-        the table once (validators, sparse analyses, out-of-core
-        kernels) can handle structured products beyond the
+        Yields blocks of at most ``block`` initiator rows (by default
+        about :data:`TABLE_BLOCK_PAIRS` state pairs) with the
+        corresponding ``(len(rows), s)`` index tables: slices of the
+        memoized :meth:`transition_matrix` when it exists, otherwise
+        computed per block.  Peak memory is ``O(block * s)`` instead of
+        ``O(s^2)``, so consumers that scan the table once (validators,
+        sparse analyses, the compiled kernels' packed table) never
+        materialize it, and can handle structured products beyond the
         :data:`MAX_DENSE_STATES` dense guard.
         """
+        s = self.num_states
+        if block is None:
+            block = max(1, TABLE_BLOCK_PAIRS // s)
         if block < 1:
             raise InvalidParameterError(
                 f"block must be >= 1, got {block}")
-        s = self.num_states
+        cached = getattr(self, "_transition_matrix_cache", None)
         for start in range(0, s, block):
             stop = min(start + block, s)
-            out_x = np.empty((stop - start, s), dtype=np.int64)
-            out_y = np.empty((stop - start, s), dtype=np.int64)
-            for i in range(start, stop):
-                for j in range(s):
-                    out_x[i - start, j], out_y[i - start, j] = \
-                        self.transition_index(i, j)
+            if cached is None:
+                out_x, out_y = self._transition_rows(start, stop)
+            else:
+                out_x, out_y = cached[0][start:stop], cached[1][start:stop]
             yield slice(start, stop), out_x, out_y
 
     def make_batch_kernel(self):

@@ -55,6 +55,7 @@ __all__ = [
     "create",
     "resolve_name",
     "NULL_SKIP_MAX_STATES",
+    "null_skip_max_states",
     "ENSEMBLE_MAX_STATES",
     "COUNT_ENSEMBLE_MIN_N",
     "FAULTED_COUNT_ENSEMBLE_MIN_N",
@@ -62,9 +63,16 @@ __all__ = [
     "ensemble_engine_name",
 ]
 
-#: State-count threshold below which null skipping beats the count
-#: engine (each productive event scans all ordered state pairs).
-NULL_SKIP_MAX_STATES = 16
+#: State counts up to which ``"auto"`` runs on null skipping (each
+#: productive event scans all ordered state pairs), keyed like
+#: :data:`COUNT_ENSEMBLE_MIN_N`.  ``"numpy"`` is the single-trial cut
+#: against the count engine, and it holds for every batch without a
+#: compiled backend.  ``"compiled"`` is fitted from the crossover grid
+#: in ``docs/engines.md`` for clean multi-trial batches against the
+#: compiled count ensemble, which wins 34 of the 40 measured cells
+#: from s = 6 up (null skipping keeps the smallest margins at
+#: n >= 1001 there).
+NULL_SKIP_MAX_STATES = {"compiled": 4, "numpy": 16}
 
 #: Largest state space for which the ensemble engine's dense
 #: transition table may be materialized — aliased to the
@@ -99,6 +107,14 @@ def count_ensemble_min_n() -> int:
     ensemble on this host (depends on the kernel backend)."""
     compiled = kernels.default_backend() is not None
     return COUNT_ENSEMBLE_MIN_N["compiled" if compiled else "numpy"]
+
+
+def null_skip_max_states(num_trials: int = 1) -> int:
+    """The largest state count ``"auto"`` runs on null skipping for a
+    clean batch of ``num_trials`` on this host (depends on the kernel
+    backend for multi-trial batches)."""
+    compiled = num_trials > 1 and kernels.default_backend() is not None
+    return NULL_SKIP_MAX_STATES["compiled" if compiled else "numpy"]
 
 
 def ensemble_engine_name(n: int, *, faults=None) -> str:
@@ -248,8 +264,9 @@ def _auto_policy(protocol, *, graph=None, num_trials: int = 1,
                  n: int | None = None) -> str:
     """The default selection: fastest *exact* engine for the job.
 
-    Null-skipping for small state spaces, the agent engine whenever a
-    graph is supplied, a vectorized ensemble engine for multi-trial
+    Null-skipping for small state spaces (see
+    :func:`null_skip_max_states`), the agent engine whenever a graph is
+    supplied, a vectorized ensemble engine for multi-trial
     batches of unanimity-settling protocols with mid-sized state
     spaces (by population size, see :func:`ensemble_engine_name`; the
     token ensemble when ``n`` is unknown), and the count engine
@@ -262,7 +279,7 @@ def _auto_policy(protocol, *, graph=None, num_trials: int = 1,
         return "rounds"
     if graph is not None:
         return "agent"
-    if protocol.num_states <= NULL_SKIP_MAX_STATES:
+    if protocol.num_states <= null_skip_max_states(num_trials):
         return "null-skipping"
     if (num_trials > 1
             and getattr(protocol, "unanimity_settles", False)

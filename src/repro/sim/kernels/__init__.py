@@ -37,6 +37,7 @@ __all__ = [
     "fallback_reason",
     "jit_engine_name",
     "load",
+    "pack_transition_blocks",
     "pack_transition_table",
     "reset_backend_cache",
     "warm_up",
@@ -167,21 +168,41 @@ def pack_transition_table(table_x, table_y, state_class):
     kernels' apply loops.  Requires ``s <= 4096`` (the registry-wide
     dense-table bound), so successor states fit their 16-bit fields.
     """
+    s = len(state_class)
+    return pack_transition_blocks(
+        [(slice(0, s), table_x.reshape(s, s), table_y.reshape(s, s))],
+        state_class)
+
+
+def pack_transition_blocks(blocks, state_class):
+    """:func:`pack_transition_table` from ``(rows, out_x, out_y)``
+    blocks of initiator rows that cover every row once, as
+    :meth:`~repro.protocols.base.PopulationProtocol.iter_transition_rows`
+    yields them.
+
+    Only one block's temporaries are alive at a time, so packing from a
+    protocol's row blocks adds little beyond the packed table itself.
+    """
     import numpy as np
 
-    xi = np.ascontiguousarray(table_x, dtype=np.int64)
-    yj = np.ascontiguousarray(table_y, dtype=np.int64)
     cls = np.ascontiguousarray(state_class, dtype=np.int64)
     s = cls.shape[0]
-    i = np.repeat(np.arange(s, dtype=np.int64), s)
-    j = np.tile(np.arange(s, dtype=np.int64), s)
-    packed = xi | (yj << 16)
-    packed |= ((xi != i) | (yj != j)).astype(np.int64) << 32
-    for bit, c in ((33, 0), (36, 1), (39, 2)):
-        delta = ((cls[xi] == c).astype(np.int64) + (cls[yj] == c)
-                 - (cls[i] == c) - (cls[j] == c))
-        packed |= (delta + 2) << bit
-    return np.ascontiguousarray(packed)
+    packed = np.empty((s, s), dtype=np.int64)
+    j = np.arange(s, dtype=np.int64)
+    members = [(bit, (cls == c).astype(np.int64))
+               for bit, c in ((33, 0), (36, 1), (39, 2))]
+    for rows, out_x, out_y in blocks:
+        xi = np.asarray(out_x, dtype=np.int64)
+        yj = np.asarray(out_y, dtype=np.int64)
+        i = np.arange(rows.start, rows.stop, dtype=np.int64)[:, None]
+        block = packed[rows]
+        np.left_shift(yj, 16, out=block)
+        block |= xi
+        block |= ((xi != i) | (yj != j)).astype(np.int64) << 32
+        for bit, member in members:
+            delta = member[xi] + member[yj] - member[i] - member[j]
+            block |= (delta + 2) << bit
+    return packed.reshape(-1)
 
 
 def jit_engine_name(name: str) -> str:

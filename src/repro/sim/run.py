@@ -60,7 +60,7 @@ from ..telemetry.context import use as use_telemetry
 from . import engines as engine_registry
 from .count_ensemble_engine import CountEnsembleEngine
 from .engine import Engine
-from .engines import ENSEMBLE_MAX_STATES, NULL_SKIP_MAX_STATES
+from .engines import ENSEMBLE_MAX_STATES, null_skip_max_states
 from .ensemble_engine import EnsembleEngine
 from .results import RunResult, TrialStats
 
@@ -438,7 +438,7 @@ def _auto_ensemble_name(spec: RunSpec) -> tuple[str | None, str | None]:
         # Adversarial schedulers need the agent engine (per-trial path).
         return None, None
     s = spec.protocol.num_states
-    if faults is None and s <= NULL_SKIP_MAX_STATES:
+    if faults is None and s <= null_skip_max_states(spec.num_trials):
         # Null skipping wins outright here — a choice, not a fallback.
         # (It cannot inject faults, so faulted batches skip it.)
         return None, None

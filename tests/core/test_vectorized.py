@@ -1,5 +1,8 @@
 """The vectorized AVC kernel must agree with the reference transition."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -76,8 +79,9 @@ class TestVectorizedTable:
 
         for m in range(1, 128, 2):
             vectorized = AVCProtocol(m=m, d=d).transition_matrix()
-            per_pair = PopulationProtocol._build_transition_matrix(
-                AVCProtocol(m=m, d=d))
+            s = AVCProtocol(m=m, d=d).num_states
+            per_pair = PopulationProtocol._transition_rows(
+                AVCProtocol(m=m, d=d), 0, s)
             for table, expected in zip(vectorized, per_pair):
                 assert table.dtype == expected.dtype
                 assert table.tobytes() == expected.tobytes(), (m, d)
@@ -94,3 +98,31 @@ class TestVectorizedTable:
                                                protocol.states[j])
             assert protocol.transition_index(i, j) \
                 == (protocol.index_of(new_x), protocol.index_of(new_y))
+
+    def test_row_blocks_match_the_table_without_building_it(self):
+        protocol = AVCProtocol(m=127, d=1)
+        blocks = list(protocol.iter_transition_rows(block=7))
+        assert getattr(protocol, "_transition_matrix_cache", None) is None
+        assert [rows.start for rows, _, _ in blocks] \
+            == list(range(0, protocol.num_states, 7))
+        out_x, out_y = protocol.transition_matrix()
+        assert np.array_equal(np.vstack([x for _, x, _ in blocks]), out_x)
+        assert np.array_equal(np.vstack([y for _, _, y in blocks]), out_y)
+        # Once memoized, the blocks are slices of the table itself.
+        rows, block_x, _ = next(protocol.iter_transition_rows())
+        assert rows.start == 0 and np.shares_memory(block_x, out_x)
+
+
+def test_dropped_protocol_is_freed_without_the_cycle_collector():
+    # The protocol memoizes its kernel and its tables; a kernel holding
+    # the protocol back would keep both alive until a full collection.
+    gc.collect()
+    gc.disable()
+    try:
+        protocol = AVCProtocol(m=63, d=1)
+        protocol.transition_matrix()
+        ref = weakref.ref(protocol)
+        del protocol
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -139,7 +139,7 @@ class TestEngineKeyPolicy:
 
 class TestSpecFromKey:
     def test_committed_objects_are_committed(self):
-        assert len(COMMITTED) == 15
+        assert len(COMMITTED) == 30
 
     @pytest.mark.parametrize("path", COMMITTED,
                              ids=[path.stem[:12] for path in COMMITTED])

@@ -30,8 +30,8 @@ from repro.sim import (
     engines,
 )
 from repro.sim import kernels
-from repro.sim.engines import count_ensemble_min_n
-from repro.sim.run import resolve_trial_engine
+from repro.sim.engines import count_ensemble_min_n, null_skip_max_states
+from repro.sim.run import auto_engine_name, resolve_trial_engine
 
 PROTOCOL = AVCProtocol(m=9, d=1)
 
@@ -177,6 +177,49 @@ class TestRouting:
             engine, _ = resolve_trial_engine(spec)
             assert engine.name == engines.resolve_name(
                 "auto", protocol, num_trials=4, n=n)
+
+    def test_null_skip_cut_depends_on_backend_and_trials(self,
+                                                         monkeypatch):
+        cuts = engines.NULL_SKIP_MAX_STATES
+        monkeypatch.setattr(kernels, "default_backend", lambda: "cext")
+        assert null_skip_max_states(8) == cuts["compiled"]
+        assert null_skip_max_states(1) == cuts["numpy"]
+        monkeypatch.setattr(kernels, "default_backend", lambda: None)
+        assert null_skip_max_states(8) == cuts["numpy"]
+        assert null_skip_max_states(1) == cuts["numpy"]
+
+    def test_batches_leave_null_skipping_above_the_cut(self):
+        # Read on this host's backend: the compiled cut with a kernel
+        # backend, the single-trial one without.
+        cut = null_skip_max_states(8)
+        for s, vectorized in ((cut, False), (cut + 2, True)):
+            protocol = AVCProtocol.with_num_states(s)
+            spec = RunSpec(protocol, n=101, epsilon=1 / 101,
+                           num_trials=8, seed=0)
+            engine, fallback = resolve_trial_engine(spec)
+            assert fallback is None
+            assert (engine is not None) is vectorized, s
+            name = auto_engine_name(spec)
+            assert name == engines.resolve_name("auto", protocol,
+                                                num_trials=8, n=101)
+            if vectorized:
+                assert name == engines.ensemble_engine_name(101)
+                assert engine.name == name
+            else:
+                assert name == "null-skipping"
+
+    def test_single_trials_keep_the_single_trial_cut(self):
+        cut = engines.NULL_SKIP_MAX_STATES["numpy"]
+        for s in (4, cut):
+            protocol = AVCProtocol.with_num_states(s)
+            assert engines.resolve_name("auto", protocol) \
+                == "null-skipping"
+            assert auto_engine_name(RunSpec(
+                protocol, n=101, epsilon=1 / 101, seed=0)) \
+                == "null-skipping"
+        assert engines.resolve_name(
+            "auto", AVCProtocol.with_num_states(cut + 2)) \
+            == kernels.jit_engine_name("count")
 
     def test_explicit_name_creates_the_engine(self):
         engine = engines.create(PROTOCOL, "count-ensemble")

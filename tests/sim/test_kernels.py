@@ -11,7 +11,12 @@ and byte-identity between every JIT engine and its numpy twin.
 import numpy as np
 import pytest
 
+import tracemalloc
+
 from repro import AVCProtocol, FaultSpec, RunSpec, run_trials
+from repro.protocols.four_state import FourStateProtocol
+from repro.protocols.successors import PhaseDoublingProtocol
+from repro.protocols.three_state import ThreeStateProtocol
 from repro.sim import (
     BatchEngine,
     CountEngine,
@@ -49,6 +54,23 @@ def result_tuples(engine, *, faults=None, num_trials=6, seed=3):
                    faults=faults)
     return [(r.steps, r.decision, r.settled, r.productive_steps)
             for r in run_trials(spec)]
+
+
+def whole_table_pack(table_x, table_y, state_class):
+    """The packed table by the original whole-table formula."""
+    xi = np.ascontiguousarray(table_x, dtype=np.int64)
+    yj = np.ascontiguousarray(table_y, dtype=np.int64)
+    cls = np.ascontiguousarray(state_class, dtype=np.int64)
+    s = cls.shape[0]
+    i = np.repeat(np.arange(s, dtype=np.int64), s)
+    j = np.tile(np.arange(s, dtype=np.int64), s)
+    packed = xi | (yj << 16)
+    packed |= ((xi != i) | (yj != j)).astype(np.int64) << 32
+    for bit, c in ((33, 0), (36, 1), (39, 2)):
+        delta = ((cls[xi] == c).astype(np.int64) + (cls[yj] == c)
+                 - (cls[i] == c) - (cls[j] == c))
+        packed |= (delta + 2) << bit
+    return packed
 
 
 @pytest.fixture
@@ -201,6 +223,57 @@ class TestPackTransitionTable:
         j = np.tile(np.arange(s), s)
         assert np.array_equal(((packed >> 32) & 1).astype(bool),
                               (tx != i) | (ty != j))
+
+
+PACKED_PROTOCOLS = {
+    "avc-s4": lambda: AVCProtocol.with_num_states(4),
+    "avc-s130": lambda: AVCProtocol.with_num_states(130),
+    "avc-s1002": lambda: AVCProtocol.with_num_states(1002),
+    "three-state": ThreeStateProtocol,
+    "four-state": FourStateProtocol,
+    "phase-doubling": lambda: PhaseDoublingProtocol(levels=5, theta=2),
+}
+
+
+class TestRowBlockPacking:
+    """The packed table is built in row blocks, straight from the
+    protocol; it must equal the whole-table formula byte for byte."""
+
+    @pytest.mark.parametrize("make", PACKED_PROTOCOLS.values(),
+                             ids=PACKED_PROTOCOLS.keys())
+    def test_matches_whole_table_formula(self, make):
+        protocol = make()
+        cls, _ = class_tables(protocol)
+        from_blocks = kernels.pack_transition_blocks(
+            protocol.iter_transition_rows(), cls)
+        tx, ty, _, _ = flat_transition_tables(protocol)
+        expected = whole_table_pack(tx, ty, cls)
+        assert from_blocks.tobytes() == expected.tobytes()
+        assert kernels.pack_transition_table(tx, ty, cls).tobytes() \
+            == expected.tobytes()
+        # From the memoized table's slices too.
+        assert kernels.pack_transition_blocks(
+            protocol.iter_transition_rows(block=7), cls).tobytes() \
+            == expected.tobytes()
+
+    def test_kernel_tables_peak_memory_at_figure3_scale(self):
+        # Figure 3's n = 1001 point: s = 1002, an 8 MB packed table.
+        # Neither the s x s transition_matrix pair (16 MB) nor
+        # whole-table temporaries may be built on the way.
+        from repro.sim.kernels.jit_engines import _KernelTablesMixin
+
+        holder = _KernelTablesMixin()
+        holder.protocol = AVCProtocol.with_num_states(1002)
+        tracemalloc.start()
+        try:
+            packed, _ = holder._kernel_tables()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert packed.nbytes == 1002 * 1002 * 8
+        assert peak <= 1.5 * packed.nbytes
+        assert getattr(holder.protocol, "_transition_matrix_cache",
+                       None) is None
 
 
 @needs_backend
