@@ -14,7 +14,7 @@ servers sending adversary-controlled values.
   averaging algorithm.
 * :mod:`repro.consensus.rounds` — the :class:`RoundsEngine` driving
   whole rounds instead of pairwise interactions, registered in the
-  engine registry as ``"rounds"`` (the ``"auto"`` policy routes
+  engine registry as ``"rounds"`` (``"auto"`` routes
   round-based protocols there).
 
 Both algorithms are addressable through :class:`~repro.sim.run.RunSpec`

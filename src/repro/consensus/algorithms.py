@@ -21,8 +21,8 @@ Both algorithms expose the same entry point,
 :class:`repro.consensus.rounds.RoundsEngine`.  The pairwise
 ``transition`` inherited from :class:`PopulationProtocol` is the
 identity — round-based protocols have no pairwise dynamics — and the
-engine registry refuses to run them on population engines (the
-``"auto"`` policy routes them to ``"rounds"``).
+engine registry refuses to run them on population engines (``"auto"``
+routes them to ``"rounds"``).
 
 References: Ben-Or's free-choice protocol (PODC 1983) for the
 randomized binary consensus, and the Dolev–Lynch–Pinter–Stark–Weihl
@@ -85,7 +85,7 @@ class ConsensusProtocol(MajorityProtocol):
     input value.  Subclasses implement :meth:`simulate_rounds`.
     """
 
-    #: Routed to the rounds engine by the ``"auto"`` policy; population
+    #: Routed to the rounds engine by ``"auto"``; population
     #: engines reject round-based protocols at creation.
     is_round_based = True
     unanimity_settles = False

@@ -110,7 +110,7 @@ def main(argv=None) -> int:
                         help="shorthand for --scale smoke")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--engine", default="auto",
-                        help="engine (or policy) for every run; the "
+                        help="engine (or auto) for every run; the "
                              "default picks an exact engine per point")
     add_sweep_arguments(parser, workers=True)
     add_telemetry_arguments(parser)

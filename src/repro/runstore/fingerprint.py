@@ -130,9 +130,9 @@ def spec_key(spec) -> dict:
     count ensemble) changes an ``auto`` point's bytes.  So the resolved
     name goes into the entry's *metadata* (``engine_resolved``), and
     on every hit of an ``auto`` entry the orchestrator and the service
-    compare it with the engine the current policy picks
-    (:func:`repro.sim.run.auto_engine_name`, names only, ``-jit``
-    suffix ignored since the compiled twins are bit-identical); a
+    compare it with the engine the current routing picks
+    (:func:`repro.sim.engines.route`, names only, ``-jit`` suffix
+    ignored since the compiled twins are bit-identical); a
     mismatch is a stale entry, recomputed and overwritten (see
     ``docs/runstore.md``).  Requesting a different engine *name* (say
     ``"count-ensemble"`` instead of ``"auto"``) is a different key.

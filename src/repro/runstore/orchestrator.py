@@ -42,8 +42,9 @@ import numpy as np
 from ..errors import JobInterrupted
 from ..faults import active_faults
 from ..serialize import run_result_from_dict, run_result_to_dict
+from ..sim.engines import route
 from ..sim.results import TrialStats
-from ..sim.run import RunSpec, auto_engine_name, plan_trials
+from ..sim.run import RunSpec, plan_trials
 from ..telemetry.context import current as current_telemetry
 from .distributed import LeaseLost
 from .fingerprint import fingerprint, point_key, spec_key
@@ -144,18 +145,19 @@ def stale_reason(entry: dict, spec: RunSpec) -> str | None:
     """Why a committed entry is not what the current code would compute.
 
     Only ``auto`` entries can go stale this way: their key names the
-    policy, not the engine it picked, so a moved routing threshold
+    router, not the engine it picked, so a moved routing threshold
     leaves entries keyed like the new routing's points but holding the
     old engine's stream.  The recorded ``engine_resolved`` is compared
-    with :func:`~repro.sim.run.auto_engine_name` by name (no engine is
-    built); the ``-jit`` suffix is ignored because the compiled twins
-    are bit-identical to the numpy engines.  ``None`` when fresh.
+    with the engine :func:`~repro.sim.engines.route` picks now (by
+    name: no engine is built); the ``-jit`` suffix is ignored because
+    the compiled twins are bit-identical to the numpy engines.
+    ``None`` when fresh.
     """
     meta = entry.get("meta") or {}
     recorded = meta.get("engine_resolved")
     if meta.get("engine_requested") != "auto" or recorded is None:
         return None
-    current = auto_engine_name(spec)
+    current = route(spec).engine
     if recorded.removesuffix("-jit") == current.removesuffix("-jit"):
         return None
     return f"computed on {recorded}, auto now picks {current}"

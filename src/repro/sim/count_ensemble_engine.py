@@ -150,7 +150,7 @@ class CountEnsembleEngine(CountEngine):
     batches through :meth:`run_ensemble`, and ``engine="auto"`` picks
     this engine (or its compiled twin) over the token ensemble from a
     measured population crossover (see
-    :func:`repro.sim.engines.ensemble_engine_name`).
+    :func:`repro.sim.engines.route`).
     """
 
     name = "count-ensemble"

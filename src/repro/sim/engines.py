@@ -1,20 +1,19 @@
-"""The engine registry: name -> engine factory, policies included.
+"""The engine registry and the ``auto`` router.
 
-Historically :func:`repro.sim.run.make_engine` was a hard-coded
-``if engine == ...`` chain, so adding an engine meant editing
-``run.py``.  The registry inverts that: engines register themselves
-under a name, third-party code plugs in with :func:`register`, and
-``"auto"`` is just a registered *policy* — a callable that inspects
-the protocol and returns the name of a concrete engine.
+Engines register themselves under a name, third-party code plugs in
+with :func:`register`, and :func:`create` instantiates one by name.
+``"auto"`` is not a registered engine: it names the routing rule
+:func:`route`, which maps a :class:`~repro.sim.run.RunSpec` to the
+engine that runs it and the reason it was chosen.  Every ``auto``
+decision goes through that one function: the trial plan of
+:func:`repro.sim.run.simulate`, the per-trial factories
+(:func:`create`, :func:`repro.sim.run.make_engine`) and the run
+store's stale check.
 
 Factories receive ``(protocol, *, graph=None, batch_fraction=0.05)``
 and must return an :class:`~repro.sim.engine.Engine`; declare
 ``supports_graph=True`` if the engine accepts a non-complete
-interaction graph (only the agent engine does today).  Policies
-receive ``(protocol, *, graph=None, num_trials=1, n=None)`` — ``n``
-is the population size when known — and return a registered engine
-name (possibly another policy; chains are resolved with a cycle
-guard).
+interaction graph (only the agent engine does today).
 
 Example — plugging in a custom engine::
 
@@ -31,9 +30,10 @@ Example — plugging in a custom engine::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from ..errors import InvalidParameterError
+from ..faults import active_faults
 from ..protocols.base import MAX_DENSE_STATES
 from ..telemetry.context import current as current_telemetry
 from . import kernels
@@ -46,41 +46,41 @@ from .ensemble_engine import EnsembleEngine
 from .gillespie import ContinuousTimeEngine, NullSkippingEngine
 
 __all__ = [
+    "AUTO",
+    "Route",
+    "route",
     "register",
-    "register_policy",
     "unregister",
     "get",
     "available",
-    "is_policy",
     "create",
-    "resolve_name",
     "NULL_SKIP_MAX_STATES",
-    "null_skip_max_states",
     "ENSEMBLE_MAX_STATES",
     "COUNT_ENSEMBLE_MIN_N",
     "FAULTED_COUNT_ENSEMBLE_MIN_N",
-    "count_ensemble_min_n",
-    "ensemble_engine_name",
 ]
 
-#: State counts up to which ``"auto"`` runs on null skipping (each
-#: productive event scans all ordered state pairs), keyed like
-#: :data:`COUNT_ENSEMBLE_MIN_N`.  ``"numpy"`` is the single-trial cut
-#: against the count engine, and it holds for every batch without a
-#: compiled backend.  ``"compiled"`` is fitted from the crossover grid
-#: in ``docs/engines.md`` for clean multi-trial batches against the
-#: compiled count ensemble, which wins 34 of the 40 measured cells
-#: from s = 6 up (null skipping keeps the smallest margins at
-#: n >= 1001 there).
+#: The routing name: :func:`route` decides which engine runs it.
+AUTO = "auto"
+
+#: State counts up to which ``"auto"`` runs a clean batch on null
+#: skipping (each productive event scans all ordered state pairs),
+#: keyed like :data:`COUNT_ENSEMBLE_MIN_N`.  ``"numpy"`` is the
+#: single-trial cut against the count engine, and it holds for every
+#: batch without a compiled backend.  ``"compiled"`` is fitted from the
+#: crossover grid in ``docs/engines.md`` for clean multi-trial batches
+#: against the compiled count ensemble, which wins 34 of the 40
+#: measured cells from s = 6 up (null skipping keeps the smallest
+#: margins at n >= 1001 there).
 NULL_SKIP_MAX_STATES = {"compiled": 4, "numpy": 16}
 
 #: Largest state space for which the ensemble engine's dense
 #: transition table may be materialized — aliased to the
 #: :data:`~repro.protocols.base.MAX_DENSE_STATES` guard behind
 #: :meth:`~repro.protocols.base.PopulationProtocol.transition_matrix`,
-#: so the ``"auto"`` policy, the explicit-engine capability checks,
-#: and the table itself agree on one threshold.  Structured protocols
-#: whose product exceeds it stay on the sparse count/agent paths
+#: so :func:`route`, the explicit-engine capability checks, and the
+#: table itself agree on one threshold.  Structured protocols whose
+#: product exceeds it stay on the sparse count/agent paths
 #: (``protocol.supports_dense_tables`` is the canonical test).
 ENSEMBLE_MAX_STATES = MAX_DENSE_STATES
 
@@ -101,52 +101,127 @@ COUNT_ENSEMBLE_MIN_N = {"compiled": 17, "numpy": 32_768}
 #: it keeps the original threshold.
 FAULTED_COUNT_ENSEMBLE_MIN_N = 32_768
 
-
-def count_ensemble_min_n() -> int:
-    """The population from which clean ``auto`` batches take the count
-    ensemble on this host (depends on the kernel backend)."""
-    compiled = kernels.default_backend() is not None
-    return COUNT_ENSEMBLE_MIN_N["compiled" if compiled else "numpy"]
+_ENSEMBLE_NAMES = frozenset(("ensemble", "count-ensemble",
+                             "count-ensemble-jit"))
 
 
-def null_skip_max_states(num_trials: int = 1) -> int:
-    """The largest state count ``"auto"`` runs on null skipping for a
-    clean batch of ``num_trials`` on this host (depends on the kernel
-    backend for multi-trial batches)."""
-    compiled = num_trials > 1 and kernels.default_backend() is not None
-    return NULL_SKIP_MAX_STATES["compiled" if compiled else "numpy"]
+class Route(NamedTuple):
+    """Where a batch runs, and why.
 
-
-def ensemble_engine_name(n: int, *, faults=None) -> str:
-    """The vectorized ensemble ``"auto"`` runs a batch of ``n`` agents on.
-
-    The one place the crossover lives: the registry policy and
-    :func:`repro.sim.run.resolve_trial_engine` both ask it, for
-    protocols already known to fit the vectorized ensembles.  ``faults``
-    is the active :class:`~repro.faults.FaultSpec`, if any.  The count
-    ensemble family has no byzantine path, so byzantine batches stay on
-    the token ensemble at every ``n``.  A count-ensemble answer is the
-    compiled twin when a kernel backend is usable (bit-identical, so
-    the upgrade never moves a result).
+    ``engine`` is a registered engine name.  ``ensemble`` says whether
+    the batch advances through that engine's
+    :meth:`~repro.sim.engine.Engine.run_ensemble` (otherwise it runs
+    one trial at a time).  ``reason`` names the rule that fired;
+    ``"requested"`` for an explicit engine.
     """
+
+    engine: str
+    ensemble: bool
+    reason: str
+
+
+def route(spec) -> Route:
+    """The engine ``spec`` runs on, by name only, and why.
+
+    An explicit engine name or instance is returned as requested.  For
+    ``"auto"`` the first rule that fires decides:
+
+    1. ``round-based protocol``: the rounds engine.
+    2. ``interaction graph`` or ``adversarial scheduler``: the agent
+       engine.
+    3. ``null-skip cut``: a clean batch whose state count is at most
+       :data:`NULL_SKIP_MAX_STATES` (the compiled cut for multi-trial
+       batches with a kernel backend) runs on null skipping.
+    4. A batch of one trial (``single trial``), one with per-run
+       instrumentation (``instrumentation: recorder, ...``), a protocol
+       that is ``not unanimity-settling`` or one with ``no dense
+       table`` runs per trial: on null skipping when clean with at most
+       the single-trial cut of states, else on the count engine
+       (compiled when a backend is usable and the batch is clean).  A
+       faulted single trial gives the reason ``faults``.
+    5. Every other batch advances through a vectorized ensemble:
+       ``byzantine`` batches on the token ensemble; the rest on the
+       count ensemble from the ``count-ensemble cut`` for this backend
+       (the ``faulted count-ensemble cut`` for faulted batches) and on
+       the token ensemble below it.
+
+    Builds no engine and no table, so the run store can check a cached
+    ``auto`` entry against it on every hit.
+    """
+    requested = spec.engine
+    if not isinstance(requested, str):
+        return Route(requested.name,
+                     isinstance(requested,
+                                (EnsembleEngine, CountEnsembleEngine)),
+                     "requested")
+    if requested != AUTO:
+        return Route(requested, requested in _ENSEMBLE_NAMES, "requested")
+    protocol = spec.protocol
+    if getattr(protocol, "is_round_based", False):
+        return Route("rounds", False, "round-based protocol")
+    if spec.graph is not None:
+        return Route("agent", False, "interaction graph")
+    faults = active_faults(spec.faults)
+    if faults is not None and faults.scheduler is not None:
+        return Route("agent", False, "adversarial scheduler")
+    backend = "numpy" if kernels.default_backend() is None else "compiled"
+    trials = spec.num_trials
+    s = protocol.num_states
+    if faults is None and s <= NULL_SKIP_MAX_STATES[
+            backend if trials > 1 else "numpy"]:
+        return Route("null-skipping", False, "null-skip cut")
+    if trials < 2:
+        declined = "faults" if faults is not None else "single trial"
+    elif spec.recorder is not None or spec.event_observer is not None:
+        declined = "instrumentation: " + ", ".join(
+            name for name in ("recorder", "event_observer")
+            if getattr(spec, name) is not None)
+    elif not getattr(protocol, "unanimity_settles", False):
+        declined = "not unanimity-settling"
+    elif s > ENSEMBLE_MAX_STATES:
+        declined = "no dense table"
+    else:
+        return _ensemble_route(spec, faults, backend)
+    if faults is not None:
+        # Null skipping cannot inject faults.
+        return Route("count", False, declined)
+    if s <= NULL_SKIP_MAX_STATES["numpy"]:
+        return Route("null-skipping", False, declined)
+    return Route("count-jit" if backend == "compiled" else "count", False,
+                 declined)
+
+
+def _ensemble_route(spec, faults, backend: str) -> Route:
+    """:func:`route`'s choice between the two ensembles."""
     if faults is None:
-        cut = count_ensemble_min_n()
+        cut = COUNT_ENSEMBLE_MIN_N[backend]
+        rule = f"count-ensemble cut ({backend})"
     elif faults.byzantine_f:
-        return "ensemble"
+        # The count ensemble family has no byzantine path.
+        return Route("ensemble", True, "byzantine")
     else:
         cut = FAULTED_COUNT_ENSEMBLE_MIN_N
-    if n >= cut:
-        return kernels.jit_engine_name("count-ensemble")
-    return "ensemble"
+        rule = "faulted count-ensemble cut"
+    if spec.n is not None:
+        n = spec.n
+    elif spec.count_a is not None:
+        n = spec.count_a + spec.count_b
+    else:
+        n = sum(spec.initial.values())
+    if n < cut:
+        return Route("ensemble", True, "below " + rule)
+    # The compiled twin when a backend is usable: bit-identical to the
+    # numpy engine, so the upgrade never moves a result.
+    return Route("count-ensemble-jit" if backend == "compiled"
+                 else "count-ensemble", True, rule)
 
 
 @dataclass(frozen=True)
 class EngineEntry:
-    """One registry row: either a factory or a policy, never both."""
+    """One registry row."""
 
     name: str
-    factory: Callable | None = None
-    policy: Callable | None = None
+    factory: Callable
     supports_graph: bool = False
 
 
@@ -161,31 +236,21 @@ def register(name: str, factory: Callable, *,
     ``factory(protocol, *, graph=None, batch_fraction=0.05)`` must
     return an :class:`Engine`.  Re-registering an existing name
     requires ``replace=True`` (guards against accidental shadowing of
-    the built-ins).
+    the built-ins); ``"auto"`` is the router's and cannot be taken.
     """
-    _add(EngineEntry(name=name, factory=factory,
-                     supports_graph=supports_graph), replace)
-
-
-def register_policy(name: str, policy: Callable, *,
-                    replace: bool = False) -> None:
-    """Register ``policy`` — a name-returning engine selector.
-
-    ``policy(protocol, *, graph=None, num_trials=1)`` returns the name
-    of a registered engine (or of another policy).
-    """
-    _add(EngineEntry(name=name, policy=policy), replace)
-
-
-def _add(entry: EngineEntry, replace: bool) -> None:
-    if not entry.name or not isinstance(entry.name, str):
+    if not name or not isinstance(name, str):
         raise InvalidParameterError(
-            f"engine name must be a non-empty string, got {entry.name!r}")
-    if not replace and entry.name in _REGISTRY:
+            f"engine name must be a non-empty string, got {name!r}")
+    if name == AUTO:
         raise InvalidParameterError(
-            f"engine {entry.name!r} is already registered; pass "
+            f"{AUTO!r} names the engine router (see route); register "
+            "the engine under another name")
+    if not replace and name in _REGISTRY:
+        raise InvalidParameterError(
+            f"engine {name!r} is already registered; pass "
             "replace=True to override it")
-    _REGISTRY[entry.name] = entry
+    _REGISTRY[name] = EngineEntry(name=name, factory=factory,
+                                  supports_graph=supports_graph)
 
 
 def unregister(name: str) -> None:
@@ -206,88 +271,39 @@ def get(name: str) -> EngineEntry:
 
 
 def available() -> tuple[str, ...]:
-    """All registered names (policies first, then engines, sorted)."""
-    policies = sorted(n for n, e in _REGISTRY.items() if e.policy)
-    engines = sorted(n for n, e in _REGISTRY.items() if e.factory)
-    return tuple(policies + engines)
-
-
-def is_policy(name: str) -> bool:
-    return get(name).policy is not None
-
-
-def resolve_name(name: str, protocol, *, graph=None,
-                 num_trials: int = 1, n: int | None = None) -> str:
-    """Follow policies until a concrete engine name is reached.
-
-    ``n`` is the population size when the caller knows it (policies may
-    use it to pick a scale-appropriate engine); ``None`` when unknown.
-    """
-    seen = []
-    while True:
-        entry = get(name)
-        if entry.policy is None:
-            return name
-        seen.append(name)
-        if len(seen) > len(_REGISTRY):
-            raise InvalidParameterError(
-                f"engine policy cycle: {' -> '.join(seen)}")
-        name = entry.policy(protocol, graph=graph, num_trials=num_trials,
-                            n=n)
+    """Every name ``RunSpec.engine`` accepts: ``"auto"``, then the
+    registered engines, sorted."""
+    return (AUTO, *sorted(_REGISTRY))
 
 
 def create(protocol, name: str, *, graph=None,
-           batch_fraction: float = 0.05, num_trials: int = 1,
-           n: int | None = None) -> Engine:
-    """Instantiate the engine ``name`` resolves to for ``protocol``."""
-    resolved = resolve_name(name, protocol, graph=graph,
-                            num_trials=num_trials, n=n)
-    entry = get(resolved)
+           batch_fraction: float = 0.05) -> Engine:
+    """Instantiate the engine ``name`` for ``protocol``.
+
+    ``"auto"`` takes the engine :func:`route` picks for one trial of
+    ``protocol`` on ``graph``.
+    """
+    if name == AUTO:
+        from .run import RunSpec  # run imports this module
+
+        name = route(RunSpec(protocol, initial={}, graph=graph)).engine
+    entry = get(name)
     if graph is not None and not entry.supports_graph:
         raise InvalidParameterError(
-            f"engine {resolved!r} only supports the complete graph; "
+            f"engine {name!r} only supports the complete graph; "
             "use engine='agent' for custom interaction graphs")
-    if getattr(protocol, "is_round_based", False) and resolved != "rounds":
+    if getattr(protocol, "is_round_based", False) and name != "rounds":
         raise InvalidParameterError(
             f"{protocol.name} is a round-based message-passing "
-            f"protocol with no pairwise dynamics; engine {resolved!r} "
+            f"protocol with no pairwise dynamics; engine {name!r} "
             "cannot run it (use engine='rounds' or 'auto')")
     return entry.factory(protocol, graph=graph,
                          batch_fraction=batch_fraction)
 
 
 # ----------------------------------------------------------------------
-# Built-in engines and the "auto" policy
+# Built-in engines
 # ----------------------------------------------------------------------
-
-def _auto_policy(protocol, *, graph=None, num_trials: int = 1,
-                 n: int | None = None) -> str:
-    """The default selection: fastest *exact* engine for the job.
-
-    Null-skipping for small state spaces (see
-    :func:`null_skip_max_states`), the agent engine whenever a graph is
-    supplied, a vectorized ensemble engine for multi-trial
-    batches of unanimity-settling protocols with mid-sized state
-    spaces (by population size, see :func:`ensemble_engine_name`; the
-    token ensemble when ``n`` is unknown), and the count engine
-    otherwise.  The approximate batch engine is never chosen
-    implicitly.
-    """
-    if getattr(protocol, "is_round_based", False):
-        # Synchronous message-passing protocols (repro.consensus) have
-        # no pairwise dynamics; only the rounds engine can run them.
-        return "rounds"
-    if graph is not None:
-        return "agent"
-    if protocol.num_states <= null_skip_max_states(num_trials):
-        return "null-skipping"
-    if (num_trials > 1
-            and getattr(protocol, "unanimity_settles", False)
-            and getattr(protocol, "supports_dense_tables",
-                        protocol.num_states <= ENSEMBLE_MAX_STATES)):
-        return "ensemble" if n is None else ensemble_engine_name(n)
-    return kernels.jit_engine_name("count")
-
 
 register("agent",
          lambda protocol, *, graph=None, **_:
@@ -300,6 +316,8 @@ register("continuous-time",
 register("batch",
          lambda protocol, *, batch_fraction=0.05, **_:
          BatchEngine(protocol, batch_fraction=batch_fraction))
+
+
 def _require_dense_tables(protocol, name: str):
     """Capability guard for engines that vectorize via the dense table.
 
@@ -380,4 +398,3 @@ register("batch-jit",
                       lambda protocol, *, batch_fraction=0.05, **_:
                       BatchEngine(protocol,
                                   batch_fraction=batch_fraction)))
-register_policy("auto", _auto_policy)

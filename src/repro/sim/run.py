@@ -10,27 +10,23 @@ description of a simulation batch — handed to :func:`simulate`::
                    num_trials=100, seed=7)
     results = simulate(spec)
 
-``engine="auto"`` picks the fastest *exact* engine for the protocol
-via the :mod:`repro.sim.engines` registry: null-skipping for small
-state spaces, the count engine otherwise, and the agent engine
-whenever an interaction graph is supplied.  When a spec fans out
-several trials of a unanimity-settling protocol with a mid-sized
-state space, auto upgrades to a vectorized ensemble engine that
-advances the whole batch at once (exact per-trial chain, one shared
-generator): the ``O(T*s)``-memory
-:class:`~repro.sim.count_ensemble_engine.CountEnsembleEngine` from the
-measured crossover up, the token-matrix
-:class:`~repro.sim.ensemble_engine.EnsembleEngine` below it (see
-:func:`repro.sim.engines.ensemble_engine_name`).  Wherever auto lands
-on a count engine it upgrades to the compiled twin (``count-jit`` /
+``engine="auto"`` picks the fastest *exact* engine for the spec:
+:func:`repro.sim.engines.route` is the one rule, and it returns the
+engine with the reason it was chosen.  Null skipping runs small state
+spaces, the agent engine runs interaction graphs and adversarial
+schedulers, and multi-trial batches of unanimity-settling protocols
+advance all their trials at once on a vectorized ensemble (exact
+per-trial chain, one shared generator): the ``O(T*s)``-memory
+:class:`~repro.sim.count_ensemble_engine.CountEnsembleEngine` from
+the measured crossover up, the token-matrix
+:class:`~repro.sim.ensemble_engine.EnsembleEngine` below it.  The
+count engines are taken as their compiled twins (``count-jit`` /
 ``count-ensemble-jit``, see :mod:`repro.sim.kernels`) when a kernel
-backend is usable — the twins draw identical RNG streams, so the
-upgrade never moves a result.  The approximate batch engine is never chosen
-implicitly.  When auto *would* have taken the ensemble fast path but
-declines (per-run instrumentation requested, protocol cannot use the
-vectorized convergence counters, state space too large), the fallback
-is no longer silent: an ``engine.fallback`` telemetry event records
-the reason.
+backend is usable; the twins draw identical RNG streams, so the
+upgrade never moves a result.  The approximate batch engine is never
+chosen implicitly.  Every batch's route is reported as an
+``engine.selected`` telemetry event carrying the requested engine,
+the engine that runs and the rule's reason.
 
 :func:`run`, :func:`run_majority`, and :func:`run_trials` remain as
 thin wrappers, each taking a :class:`RunSpec` as its only positional
@@ -58,16 +54,13 @@ from ..rng import ensure_rng
 from ..telemetry.context import current as current_telemetry
 from ..telemetry.context import use as use_telemetry
 from . import engines as engine_registry
-from .count_ensemble_engine import CountEnsembleEngine
 from .engine import Engine
-from .engines import ENSEMBLE_MAX_STATES, null_skip_max_states
-from .ensemble_engine import EnsembleEngine
+from .engines import route
 from .results import RunResult, TrialStats
 
 __all__ = ["RunSpec", "TrialPlan", "simulate", "plan_trials",
            "make_engine", "make_run_engine",
            "run", "run_majority", "run_trials", "resolve_trial_engine",
-           "auto_engine_name",
            "ENGINE_NAMES", "ENSEMBLE_CHUNK_TRIALS", "ensemble_chunks",
            "raise_unsettled"]
 
@@ -278,15 +271,14 @@ class RunSpec:
 
 
 def make_engine(protocol, engine: str | Engine = "auto", *,
-                graph=None, batch_fraction: float = 0.05,
-                num_trials: int = 1) -> Engine:
-    """Instantiate the requested engine for ``protocol``.
+                graph=None, batch_fraction: float = 0.05) -> Engine:
+    """Instantiate the requested engine for one trial of ``protocol``.
 
     ``engine`` may be a registered name (see
-    :func:`repro.sim.engines.available`) or an
+    :func:`repro.sim.engines.available`; ``"auto"`` takes what
+    :func:`repro.sim.engines.route` picks for a single trial) or an
     :class:`~repro.sim.engine.Engine` instance, which is passed
-    through (``graph`` must then be absent).  ``num_trials`` is a hint
-    for policy engines such as ``"auto"``.
+    through (``graph`` must then be absent).
     """
     if isinstance(engine, Engine):
         if graph is not None:
@@ -294,8 +286,7 @@ def make_engine(protocol, engine: str | Engine = "auto", *,
                 "pass the graph to the engine constructor, not to run()")
         return engine
     return engine_registry.create(protocol, engine, graph=graph,
-                                  batch_fraction=batch_fraction,
-                                  num_trials=num_trials)
+                                  batch_fraction=batch_fraction)
 
 
 def ensemble_chunks(num_trials: int) -> list[int]:
@@ -312,33 +303,28 @@ def ensemble_chunks(num_trials: int) -> list[int]:
     return [ENSEMBLE_CHUNK_TRIALS] * full + ([rest] if rest else [])
 
 
-#: Spec fields that force the per-trial path (the ensemble engine
-#: advances all trials in bulk and cannot thread per-run observers).
+#: Spec fields an explicitly requested ensemble rejects (it advances
+#: all trials in bulk and cannot thread per-run observers).
 _ENSEMBLE_BLOCKERS = ("graph", "recorder", "event_observer")
 
 
 def make_run_engine(spec: RunSpec) -> Engine:
     """Instantiate the engine for ``spec``'s per-trial path.
 
-    Like :func:`make_engine`, but fault-aware: with an active
-    ``spec.faults``, ``"auto"`` reroutes to a fault-capable engine (the
-    agent engine under an adversarial scheduler or a graph, the count
-    engine otherwise — never the analytic null-skipping family, which
-    cannot inject), and explicitly requested engines without fault
-    support are rejected up front.
+    ``"auto"`` takes the engine :func:`repro.sim.engines.route` picks,
+    which never sends a faulted spec to the analytic null-skipping
+    family (it cannot inject).  With an active ``spec.faults``,
+    explicitly requested engines without fault support are rejected up
+    front.
     """
+    auto = spec.engine == engine_registry.AUTO
+    engine = make_engine(spec.protocol,
+                         route(spec).engine if auto else spec.engine,
+                         graph=spec.graph,
+                         batch_fraction=spec.batch_fraction)
     faults = active_faults(spec.faults)
-    if faults is None:
-        return make_engine(spec.protocol, spec.engine, graph=spec.graph,
-                           batch_fraction=spec.batch_fraction,
-                           num_trials=1)
-    if not isinstance(spec.engine, Engine) and spec.engine == "auto":
-        return make_engine(spec.protocol, _faulted_auto_name(spec),
-                           graph=spec.graph,
-                           batch_fraction=spec.batch_fraction,
-                           num_trials=1)
-    engine = make_engine(spec.protocol, spec.engine, graph=spec.graph,
-                         batch_fraction=spec.batch_fraction, num_trials=1)
+    if auto or faults is None:
+        return engine
     if not engine.supports_faults:
         raise InvalidParameterError(
             f"engine {engine.name!r} does not support fault injection; "
@@ -359,129 +345,45 @@ def resolve_trial_engine(spec: RunSpec) -> tuple[Engine | None,
                                                  str | None]:
     """Decide whether a batch fans out through an ensemble engine.
 
-    Returns ``(engine, fallback_reason)``.  ``engine`` is the engine
-    whose :meth:`run_ensemble` advances the batch — the token-matrix
-    :class:`EnsembleEngine` or the ``O(T*s)``-memory
-    :class:`CountEnsembleEngine` — or ``None`` for the per-trial path.
-    ``fallback_reason`` is non-``None`` only when ``engine="auto"``
-    was *eligible* for the vectorized path but declined — the caller
-    reports it as an ``engine.fallback`` telemetry event so the
-    downgrade is observable.
+    Returns ``(engine, reason)`` from :func:`repro.sim.engines.route`.
+    ``engine`` is the engine whose :meth:`run_ensemble` advances the
+    batch — the token-matrix
+    :class:`~repro.sim.ensemble_engine.EnsembleEngine` or the
+    ``O(T*s)``-memory
+    :class:`~repro.sim.count_ensemble_engine.CountEnsembleEngine` —
+    or ``None`` for the per-trial path; ``reason`` names the routing
+    rule that fired (``"requested"`` for an explicit engine).
 
-    ``"auto"`` routes by population size through
-    :func:`repro.sim.engines.ensemble_engine_name`.  Both ensembles
-    sample the count-engine chain exactly, so the routing threshold
-    never changes result *distributions* (only streams).  An
-    explicitly requested ensemble rejects unsupported arguments
-    instead of falling back.
+    Both ensembles sample the count-engine chain exactly, so the
+    routing threshold never changes result *distributions* (only
+    streams).  An explicitly requested ensemble rejects unsupported
+    arguments instead of falling back.
     """
+    chosen = route(spec)
+    if not chosen.ensemble:
+        return None, chosen.reason
     engine = spec.engine
-    if isinstance(engine, Engine):
-        explicit = isinstance(engine,
-                              (EnsembleEngine, CountEnsembleEngine))
-    else:
-        explicit = engine in ("ensemble", "count-ensemble",
-                              "count-ensemble-jit")
-    if explicit:
-        name = engine.name if isinstance(engine, Engine) else engine
-        blockers = _ensemble_blockers(spec)
+    if engine != engine_registry.AUTO:
+        blockers = [name for name in _ENSEMBLE_BLOCKERS
+                    if getattr(spec, name) is not None]
         if blockers:
             raise InvalidParameterError(
-                f"engine={name!r} advances all trials in bulk and does "
-                f"not support {', '.join(blockers)}; use a sequential "
-                "engine for per-run instrumentation")
+                f"engine={chosen.engine!r} advances all trials in bulk "
+                f"and does not support {', '.join(blockers)}; use a "
+                "sequential engine for per-run instrumentation")
         faults = active_faults(spec.faults)
         if faults is not None and faults.scheduler is not None:
             raise InvalidParameterError(
-                f"engine={name!r} does not support adversarial fault "
-                "schedulers; use engine='agent'")
+                f"engine={chosen.engine!r} does not support adversarial "
+                "fault schedulers; use engine='agent'")
         if isinstance(engine, Engine):
-            return engine, None
-        # Registry construction for all three names: the dense-table
-        # capability guard rejects oversized structured protocols at
-        # creation, and an unusable kernel backend falls back to the
-        # numpy twin with its telemetry event.
-        return engine_registry.create(spec.protocol, engine), None
-    if engine != "auto":
-        return None, None
-    name, fallback = _auto_ensemble_name(spec)
-    if name is None:
-        return None, fallback
-    if name == "ensemble":
-        return EnsembleEngine(spec.protocol), None
-    # The count ensemble or its compiled twin; the numpy twin when no
-    # backend is usable (silently -- auto never promised a compiled
-    # engine).
-    return engine_registry.create(spec.protocol, name), None
-
-
-def _ensemble_blockers(spec: RunSpec) -> list[str]:
-    return [name for name in _ENSEMBLE_BLOCKERS
-            if getattr(spec, name) is not None]
-
-
-def _auto_ensemble_name(spec: RunSpec) -> tuple[str | None, str | None]:
-    """``"auto"``'s ensemble for ``spec`` by name, nothing constructed.
-
-    ``(name, None)`` when the batch takes a vectorized ensemble,
-    ``(None, reason)`` when it was eligible but declines, and
-    ``(None, None)`` when the per-trial path is simply the right one.
-    """
-    if spec.num_trials < 2:
-        return None, None
-    if getattr(spec.protocol, "is_round_based", False):
-        # Round-based protocols advance on the rounds engine
-        # (per-trial path); no vectorized ensemble exists for them.
-        return None, None
-    faults = active_faults(spec.faults)
-    if faults is not None and faults.scheduler is not None:
-        # Adversarial schedulers need the agent engine (per-trial path).
-        return None, None
-    s = spec.protocol.num_states
-    if faults is None and s <= null_skip_max_states(spec.num_trials):
-        # Null skipping wins outright here — a choice, not a fallback.
-        # (It cannot inject faults, so faulted batches skip it.)
-        return None, None
-    blockers = _ensemble_blockers(spec)
-    if blockers:
-        return None, "per-run instrumentation: " + ", ".join(blockers)
-    if not getattr(spec.protocol, "unanimity_settles", False):
-        return None, "protocol does not settle by unanimity"
-    if s > ENSEMBLE_MAX_STATES:
-        return None, (f"state space too large for the dense table "
-                      f"({s} > {ENSEMBLE_MAX_STATES})")
-    initial, _ = spec.resolve_input()
-    return engine_registry.ensemble_engine_name(
-        sum(initial.values()), faults=faults), None
-
-
-def auto_engine_name(spec: RunSpec) -> str:
-    """The engine ``"auto"`` runs ``spec`` on, by name only.
-
-    What :func:`simulate` would record as the resolved engine (the
-    compiled and numpy twins share a name up to the ``-jit`` suffix,
-    which callers comparing streams ignore).  Nothing is constructed
-    and no table is built, so the run store can check a cached
-    ``auto`` entry against the current routing on every hit.
-    """
-    name, _ = _auto_ensemble_name(spec)
-    if name is not None:
-        return name
-    if active_faults(spec.faults) is not None:
-        return _faulted_auto_name(spec)
-    return engine_registry.resolve_name("auto", spec.protocol,
-                                        graph=spec.graph, num_trials=1)
-
-
-def _faulted_auto_name(spec: RunSpec) -> str:
-    """``"auto"``'s per-trial engine under an active fault spec."""
-    if getattr(spec.protocol, "is_round_based", False):
-        # Round-based message-passing protocols run on the rounds
-        # engine, which interprets byzantine_f as corrupted servers.
-        return "rounds"
-    if spec.faults.scheduler is not None or spec.graph is not None:
-        return "agent"
-    return "count"
+            return engine, chosen.reason
+    # Registry construction: the dense-table capability guard rejects
+    # oversized structured protocols at creation, and an explicit JIT
+    # name with an unusable kernel backend falls back to the numpy
+    # twin with its telemetry event.
+    return engine_registry.create(spec.protocol, chosen.engine), \
+        chosen.reason
 
 
 class TrialPlan:
@@ -562,20 +464,24 @@ class TrialPlan:
 def plan_trials(spec: RunSpec) -> TrialPlan:
     """The one trial plan for ``spec``'s batch.
 
-    Resolves the engine (:func:`resolve_trial_engine`; an ``auto``
-    fallback is reported as an ``engine.fallback`` event and the batch
-    counted in ``sim.trials`` on the current telemetry), partitions
-    the trials with :func:`ensemble_chunks` and spawns the seeds from
+    Resolves the engine (:func:`resolve_trial_engine`; the route is
+    reported as an ``engine.selected`` event and the batch counted in
+    ``sim.trials`` on the current telemetry), partitions the trials
+    with :func:`ensemble_chunks` and spawns the seeds from
     ``spec.seed``.  Input validation and engine construction happen
     once here, not once per trial.
     """
     telemetry = current_telemetry()
-    ensemble, fallback = resolve_trial_engine(spec)
+    ensemble, _ = resolve_trial_engine(spec)
     if telemetry.enabled:
-        if fallback is not None:
-            telemetry.event("engine.fallback", requested="auto",
-                            reason=fallback, protocol=spec.protocol.name,
-                            num_trials=spec.num_trials)
+        chosen = route(spec)
+        requested = spec.engine
+        telemetry.event("engine.selected",
+                        requested=(requested if isinstance(requested, str)
+                                   else requested.name),
+                        engine=chosen.engine, reason=chosen.reason,
+                        protocol=spec.protocol.name,
+                        num_trials=spec.num_trials)
         telemetry.count("sim.trials", spec.num_trials,
                         protocol=spec.protocol.name)
     spec.resolve_input()

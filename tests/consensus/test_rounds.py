@@ -40,7 +40,9 @@ def ben_or_spec(**overrides):
 class TestRouting:
     def test_auto_routes_to_the_rounds_engine(self):
         assert make_run_engine(ben_or_spec()).name == "rounds"
-        assert engines.resolve_name("auto", BenOrConsensus()) == "rounds"
+        assert engines.create(BenOrConsensus(), "auto").name == "rounds"
+        assert engines.route(ben_or_spec()) \
+            == ("rounds", False, "round-based protocol")
 
     @pytest.mark.parametrize("engine", ["count", "agent", "batch",
                                         "ensemble", "null-skipping"])

@@ -220,13 +220,14 @@ class TestDenseTableGuard:
                                  seed=0, engine=engine))
 
     def test_auto_policy_routes_oversized_to_sparse(self):
-        from repro.sim import engines
+        from repro.sim.engines import route
 
         big = PhaseDoublingProtocol(levels=300)
-        resolved = engines.resolve_name("auto", big, num_trials=8,
-                                        n=1000)
-        assert resolved.startswith("count")
-        assert "ensemble" not in resolved
+        resolved = route(RunSpec(big, n=1000, epsilon=0.2, num_trials=8,
+                                 seed=0))
+        assert resolved.engine.startswith("count")
+        assert "ensemble" not in resolved.engine
+        assert resolved.reason == "no dense table"
 
 
 class TestDeprecationShim:

@@ -4,8 +4,8 @@ An ``auto`` point's key names the policy, not the engine it resolved
 to, so moving a routing threshold leaves committed entries that carry
 another engine's stream under a key the new routing also produces.
 The orchestrator and the service compare the entry's recorded
-``engine_resolved`` with :func:`repro.sim.run.auto_engine_name` on
-every hit and recompute on a mismatch; the ``-jit`` suffix is ignored
+``engine_resolved`` with the engine :func:`repro.sim.engines.route`
+names on every hit and recompute on a mismatch; the ``-jit`` suffix is ignored
 because the compiled twins are bit-identical.
 """
 
@@ -21,7 +21,8 @@ from repro.runstore import Orchestrator, RunStore
 from repro.runstore.fingerprint import fingerprint
 from repro.runstore.orchestrator import stale_reason
 from repro.service import ServiceConfig, SimulationService
-from repro.sim.run import auto_engine_name, resolve_trial_engine
+from repro.sim.engines import route
+from repro.sim.run import resolve_trial_engine
 from repro.telemetry import InMemorySink, Telemetry
 from repro.telemetry.context import use as use_telemetry
 
@@ -36,7 +37,7 @@ def auto_spec(**overrides):
 
 def other_ensemble(spec):
     """The ensemble auto does *not* pick for ``spec`` on this host."""
-    current = auto_engine_name(spec).removesuffix("-jit")
+    current = route(spec).engine.removesuffix("-jit")
     return "count-ensemble" if current == "ensemble" else "ensemble"
 
 
@@ -65,10 +66,10 @@ class TestAutoEngineName:
             "faulted", "byzantine", "successor"])
     def test_matches_the_engine_simulate_records(self, spec):
         results = simulate(spec)
-        assert auto_engine_name(spec) == results[0].engine_name
+        assert route(spec).engine == results[0].engine_name
         engine, _ = resolve_trial_engine(spec)
         if engine is not None:
-            assert auto_engine_name(spec) == engine.name
+            assert route(spec).engine == engine.name
 
 
 class TestOrchestrator:
@@ -89,7 +90,7 @@ class TestOrchestrator:
         assert sink.total("runstore.cache.stale") == 1
         entry = store.get(fp)
         assert entry["row"] == fresh
-        assert entry["meta"]["engine_resolved"] == auto_engine_name(spec)
+        assert entry["meta"]["engine_resolved"] == route(spec).engine
         # The overwritten entry is fresh: the next lookup is a hit.
         again = Orchestrator(store)
         assert again.spec_point(spec) == fresh
@@ -100,7 +101,7 @@ class TestOrchestrator:
         spec = auto_spec()
         Orchestrator(store).spec_point(spec)
         fp = fingerprint(spec.key())
-        twin = auto_engine_name(spec).removesuffix("-jit")
+        twin = route(spec).engine.removesuffix("-jit")
         rewrite_meta(store, fp, engine_resolved=twin)
         assert stale_reason(store.get(fp), spec) is None
         orchestrator = Orchestrator(store)

@@ -4,8 +4,8 @@ Statistical agreement with the sequential engines lives in
 ``test_engine_agreement.py`` (clean) and
 ``tests/faults/test_ensemble_faults.py`` (faulted); this module covers
 the engine's own contracts — the collision-bounded batch loop's
-invariants, the ``O(T*s)`` memory bound, the registry/RunSpec routing
-by population size, and pinned seed-7 baselines.
+invariants, the ``O(T*s)`` memory bound, the ``auto`` routing by
+population size, and pinned seed-7 baselines.
 """
 
 import tracemalloc
@@ -30,8 +30,8 @@ from repro.sim import (
     engines,
 )
 from repro.sim import kernels
-from repro.sim.engines import count_ensemble_min_n, null_skip_max_states
-from repro.sim.run import auto_engine_name, resolve_trial_engine
+from repro.sim.engines import COUNT_ENSEMBLE_MIN_N, NULL_SKIP_MAX_STATES, route
+from repro.sim.run import make_engine, resolve_trial_engine
 
 PROTOCOL = AVCProtocol(m=9, d=1)
 
@@ -124,102 +124,126 @@ class TestMemoryBound:
         assert peak < 16 * n  # well under one (T, n) int8 matrix even
 
 
+def backend():
+    """This host's key into the routing cuts."""
+    return "numpy" if kernels.default_backend() is None else "compiled"
+
+
+def count_spec(protocol, n, trials):
+    a = (n + 1) // 2
+    return RunSpec(protocol, count_a=a, count_b=n - a, num_trials=trials,
+                   seed=0)
+
+
 class TestRouting:
     def test_auto_routes_small_populations_to_token_ensemble(self):
         protocol = AVCProtocol(m=63, d=1)
         spec = RunSpec(protocol, count_a=9, count_b=6, num_trials=8,
                        seed=7)
-        assert 15 < count_ensemble_min_n()
-        engine, fallback = resolve_trial_engine(spec)
-        assert type(engine) is EnsembleEngine and fallback is None
+        assert 15 < COUNT_ENSEMBLE_MIN_N[backend()]
+        engine, reason = resolve_trial_engine(spec)
+        assert type(engine) is EnsembleEngine
+        assert reason == f"below count-ensemble cut ({backend()})"
 
     def test_auto_routes_large_populations_to_count_ensemble(self):
         protocol = AVCProtocol(m=63, d=1)
-        half = count_ensemble_min_n() // 2
+        half = COUNT_ENSEMBLE_MIN_N[backend()] // 2
         spec = RunSpec(protocol, count_a=half + 1, count_b=half,
                        seed=7, num_trials=8)
-        engine, fallback = resolve_trial_engine(spec)
-        # The auto policy upgrades to the JIT twin when a kernel
-        # backend is usable; the twin draws the identical stream.
+        engine, reason = resolve_trial_engine(spec)
+        # The route upgrades to the JIT twin when a kernel backend is
+        # usable; the twin draws the identical stream.
         expected = (JitCountEnsembleEngine if kernels.default_backend()
                     else CountEnsembleEngine)
-        assert type(engine) is expected and fallback is None
+        assert type(engine) is expected
+        assert reason == f"count-ensemble cut ({backend()})"
 
     def test_cut_depends_on_the_kernel_backend(self, monkeypatch):
-        monkeypatch.setattr(kernels, "default_backend", lambda: "cext")
-        assert count_ensemble_min_n() \
-            == engines.COUNT_ENSEMBLE_MIN_N["compiled"]
-        monkeypatch.setattr(kernels, "default_backend", lambda: None)
-        assert count_ensemble_min_n() \
-            == engines.COUNT_ENSEMBLE_MIN_N["numpy"]
+        protocol = AVCProtocol(m=63, d=1)
+        for key, loaded, name in (("compiled", "cext", "count-ensemble-jit"),
+                                  ("numpy", None, "count-ensemble")):
+            monkeypatch.setattr(kernels, "default_backend",
+                                lambda loaded=loaded: loaded)
+            cut = COUNT_ENSEMBLE_MIN_N[key]
+            assert route(count_spec(protocol, cut, 8)) \
+                == (name, True, f"count-ensemble cut ({key})")
+            assert route(count_spec(protocol, cut - 1, 8)) \
+                == ("ensemble", True, f"below count-ensemble cut ({key})")
 
     def test_registry_policy_uses_population_size(self):
+        # The route reads the population from whichever input form the
+        # spec uses, and never without one.
         protocol = AVCProtocol(m=63, d=1)
-        cut = count_ensemble_min_n()
-        assert engines.resolve_name("auto", protocol, num_trials=8,
-                                    n=cut) \
-            == kernels.jit_engine_name("count-ensemble")
-        assert engines.resolve_name("auto", protocol, num_trials=8,
-                                    n=cut - 1) \
-            == "ensemble"
-        assert engines.resolve_name("auto", protocol, num_trials=8,
-                                    n=None) == "ensemble"
+        cut = COUNT_ENSEMBLE_MIN_N[backend()]
+        count_ensemble = kernels.jit_engine_name("count-ensemble")
+        for n, name in ((cut, count_ensemble), (cut - 1, "ensemble")):
+            a = (n + 1) // 2
+            initial = protocol.initial_counts(a, n - a)
+            for spec in (count_spec(protocol, n, 8),
+                         RunSpec(protocol, initial=initial, num_trials=8,
+                                 seed=0)):
+                assert route(spec).engine == name, n
+        odd = cut | 1
+        assert route(RunSpec(protocol, n=odd, epsilon=1 / odd,
+                             num_trials=8, seed=0)).engine \
+            == count_ensemble
 
     def test_run_routing_asks_the_policy(self):
-        # resolve_trial_engine and the registry policy agree at and
-        # around the cut: the crossover lives in one place.
+        # resolve_trial_engine builds what route names, at and around
+        # the cut: the crossover lives in one place.
         protocol = AVCProtocol(m=63, d=1)
-        cut = count_ensemble_min_n()
+        cut = COUNT_ENSEMBLE_MIN_N[backend()]
         for n in (cut - 1, cut, cut + 1, 4 * cut + 1):
-            a = (n + 1) // 2
-            spec = RunSpec(protocol, count_a=a, count_b=n - a,
-                           num_trials=4, seed=0)
-            engine, _ = resolve_trial_engine(spec)
-            assert engine.name == engines.resolve_name(
-                "auto", protocol, num_trials=4, n=n)
+            spec = count_spec(protocol, n, 4)
+            engine, reason = resolve_trial_engine(spec)
+            assert (engine.name, True, reason) == route(spec)
 
     def test_null_skip_cut_depends_on_backend_and_trials(self,
                                                          monkeypatch):
-        cuts = engines.NULL_SKIP_MAX_STATES
-        monkeypatch.setattr(kernels, "default_backend", lambda: "cext")
-        assert null_skip_max_states(8) == cuts["compiled"]
-        assert null_skip_max_states(1) == cuts["numpy"]
-        monkeypatch.setattr(kernels, "default_backend", lambda: None)
-        assert null_skip_max_states(8) == cuts["numpy"]
-        assert null_skip_max_states(1) == cuts["numpy"]
+        # s = 6 lies between the compiled batch cut and the
+        # single-trial cut.
+        protocol = AVCProtocol.with_num_states(6)
+        assert NULL_SKIP_MAX_STATES["compiled"] < 6 \
+            <= NULL_SKIP_MAX_STATES["numpy"]
+        for loaded, batch in (("cext", "count-ensemble-jit"),
+                              (None, "null-skipping")):
+            monkeypatch.setattr(kernels, "default_backend",
+                                lambda loaded=loaded: loaded)
+            assert route(count_spec(protocol, 101, 8)).engine == batch
+            assert route(count_spec(protocol, 101, 1)) \
+                == ("null-skipping", False, "null-skip cut")
 
     def test_batches_leave_null_skipping_above_the_cut(self):
         # Read on this host's backend: the compiled cut with a kernel
         # backend, the single-trial one without.
-        cut = null_skip_max_states(8)
+        cut = NULL_SKIP_MAX_STATES[backend()]
         for s, vectorized in ((cut, False), (cut + 2, True)):
             protocol = AVCProtocol.with_num_states(s)
             spec = RunSpec(protocol, n=101, epsilon=1 / 101,
                            num_trials=8, seed=0)
-            engine, fallback = resolve_trial_engine(spec)
-            assert fallback is None
+            engine, reason = resolve_trial_engine(spec)
             assert (engine is not None) is vectorized, s
-            name = auto_engine_name(spec)
-            assert name == engines.resolve_name("auto", protocol,
-                                                num_trials=8, n=101)
+            chosen = route(spec)
+            assert chosen.reason == reason
             if vectorized:
-                assert name == engines.ensemble_engine_name(101)
-                assert engine.name == name
+                assert chosen.ensemble and chosen.engine == engine.name
             else:
-                assert name == "null-skipping"
+                assert chosen == ("null-skipping", False,
+                                  "null-skip cut")
 
     def test_single_trials_keep_the_single_trial_cut(self):
-        cut = engines.NULL_SKIP_MAX_STATES["numpy"]
+        cut = NULL_SKIP_MAX_STATES["numpy"]
         for s in (4, cut):
             protocol = AVCProtocol.with_num_states(s)
-            assert engines.resolve_name("auto", protocol) \
+            assert make_engine(protocol, "auto").name == "null-skipping"
+            assert route(RunSpec(
+                protocol, n=101, epsilon=1 / 101, seed=0)).engine \
                 == "null-skipping"
-            assert auto_engine_name(RunSpec(
-                protocol, n=101, epsilon=1 / 101, seed=0)) \
-                == "null-skipping"
-        assert engines.resolve_name(
-            "auto", AVCProtocol.with_num_states(cut + 2)) \
+        wide = AVCProtocol.with_num_states(cut + 2)
+        assert make_engine(wide, "auto").name \
             == kernels.jit_engine_name("count")
+        assert route(RunSpec(wide, n=101, epsilon=1 / 101, seed=0)) \
+            == (kernels.jit_engine_name("count"), False, "single trial")
 
     def test_explicit_name_creates_the_engine(self):
         engine = engines.create(PROTOCOL, "count-ensemble")

@@ -1,4 +1,4 @@
-"""The engine registry: registration, policies, resolution."""
+"""The engine registry: registration, lookup, and the ``auto`` name."""
 
 import pytest
 
@@ -26,9 +26,13 @@ class TestBuiltins:
             "count", "count-ensemble", "count-ensemble-jit",
             "count-jit", "ensemble", "null-skipping", "rounds")
 
-    def test_is_policy(self):
-        assert engines.is_policy("auto")
-        assert not engines.is_policy("count")
+    def test_auto_routes_instead_of_registering(self):
+        # "auto" is listed and accepted, but it names the router, not a
+        # registry entry: create() asks route() for one trial.
+        with pytest.raises(InvalidParameterError, match="unknown engine"):
+            engines.get("auto")
+        engine = engines.create(FourStateProtocol(), "auto")
+        assert engine.name == "null-skipping"
 
     def test_unknown_name_lists_choices(self):
         with pytest.raises(InvalidParameterError, match="auto"):
@@ -65,6 +69,11 @@ class TestRegistration:
         with pytest.raises(InvalidParameterError):
             engines.register("", lambda protocol, **_: None)
 
+    def test_auto_name_is_reserved(self):
+        with pytest.raises(InvalidParameterError, match="router"):
+            engines.register("auto", lambda protocol, **_: None,
+                             replace=True)
+
     def test_graph_requires_supports_graph(self, cleanup):
         engines.register("no-graph", lambda protocol, **_:
                          CountEngineClass(protocol))
@@ -72,23 +81,3 @@ class TestRegistration:
         with pytest.raises(InvalidParameterError, match="complete graph"):
             engines.create(FourStateProtocol(), "no-graph",
                            graph=object())
-
-
-class TestPolicies:
-    def test_policy_chain_resolves(self, cleanup):
-        engines.register_policy("indirect", lambda protocol, **_: "auto")
-        cleanup("indirect")
-        resolved = engines.resolve_name("indirect", FourStateProtocol())
-        assert resolved == "null-skipping"
-
-    def test_policy_cycle_detected(self, cleanup):
-        engines.register_policy("ping", lambda protocol, **_: "pong")
-        cleanup("ping")
-        engines.register_policy("pong", lambda protocol, **_: "ping")
-        cleanup("pong")
-        with pytest.raises(InvalidParameterError, match="cycle"):
-            engines.resolve_name("ping", FourStateProtocol())
-
-    def test_auto_is_a_registered_policy(self):
-        entry = engines.get("auto")
-        assert entry.policy is not None and entry.factory is None

@@ -20,7 +20,13 @@ from repro import (
 )
 from repro.protocols.leader_election import PairwiseLeaderElection
 from repro.sim import CountEngine, EnsembleEngine, NullSkippingEngine
-from repro.sim.run import RunSpec, make_engine, run_trials
+from repro.sim.engines import route
+from repro.sim.run import (
+    RunSpec,
+    make_run_engine,
+    resolve_trial_engine,
+    run_trials,
+)
 
 
 def avc():
@@ -127,27 +133,27 @@ class TestRunTrialsRouting:
 
     def test_auto_upgrades_large_unanimity_protocols(self):
         wide = AVCProtocol.with_num_states(18)
-        assert isinstance(make_engine(wide, "auto", num_trials=2),
-                          EnsembleEngine)
+        batch = RunSpec(wide, n=15, epsilon=3 / 15, num_trials=2, seed=0)
+        engine, _ = resolve_trial_engine(batch)
+        assert isinstance(engine, EnsembleEngine)
         # Single runs and small state spaces keep their engines.
-        assert isinstance(make_engine(wide, "auto", num_trials=1),
-                          CountEngine)
-        assert isinstance(make_engine(FourStateProtocol(), "auto",
-                                      num_trials=2),
-                          NullSkippingEngine)
+        single = batch.replace(num_trials=1)
+        assert resolve_trial_engine(single)[0] is None
+        assert isinstance(make_run_engine(single), CountEngine)
+        small = batch.replace(protocol=FourStateProtocol())
+        assert resolve_trial_engine(small)[0] is None
+        assert isinstance(make_run_engine(small), NullSkippingEngine)
 
     def test_auto_route_matches_explicit_ensemble(self):
         # Either side of the population crossover, auto's stream is
         # the stream of the ensemble it names explicitly.
-        from repro.sim.engines import ensemble_engine_name
-
         wide = AVCProtocol.with_num_states(18)
         for n, advantage in ((15, 3), (41, 5)):
             spec = RunSpec(wide, num_trials=12, seed=21, n=n,
                            epsilon=advantage / n)
             auto = run_trials(spec.replace(engine="auto"))
-            explicit = run_trials(
-                spec.replace(engine=ensemble_engine_name(n)))
+            explicit = run_trials(spec.replace(engine=route(spec).engine))
             assert [(r.steps, r.decision) for r in auto] \
                 == [(r.steps, r.decision) for r in explicit]
-        assert ensemble_engine_name(15) == "ensemble"
+            if n == 15:
+                assert route(spec).engine == "ensemble"

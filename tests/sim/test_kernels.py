@@ -24,7 +24,8 @@ from repro.sim import (
     engines,
     kernels,
 )
-from repro.sim.engines import COUNT_ENSEMBLE_MIN_N, count_ensemble_min_n
+from repro.sim.engines import COUNT_ENSEMBLE_MIN_N, route
+from repro.sim.run import make_engine
 from repro.sim.ensemble_common import class_tables, flat_transition_tables
 from repro.telemetry import InMemorySink, Telemetry
 
@@ -121,15 +122,14 @@ class TestDisabledFallback:
 
     def test_auto_policy_resolves_to_numpy_names(self, jit_off):
         protocol = AVCProtocol(m=63, d=1)
-        assert count_ensemble_min_n() == COUNT_ENSEMBLE_MIN_N["numpy"]
-        assert engines.resolve_name("auto", protocol, num_trials=8,
-                                    n=COUNT_ENSEMBLE_MIN_N["numpy"]) \
-            == "count-ensemble"
-        assert engines.resolve_name("auto", protocol, num_trials=8,
-                                    n=COUNT_ENSEMBLE_MIN_N["numpy"] - 1) \
-            == "ensemble"
-        assert engines.resolve_name("auto", protocol, num_trials=1) \
-            == "count"
+        cut = COUNT_ENSEMBLE_MIN_N["numpy"]
+        assert route(RunSpec(protocol, count_a=cut // 2,
+                             count_b=cut // 2, num_trials=8)) \
+            == ("count-ensemble", True, "count-ensemble cut (numpy)")
+        assert route(RunSpec(protocol, count_a=cut // 2,
+                             count_b=cut // 2 - 1, num_trials=8)) \
+            == ("ensemble", True, "below count-ensemble cut (numpy)")
+        assert make_engine(protocol, "auto").name == "count"
 
     def test_registry_returns_numpy_twin(self, jit_off):
         protocol = AVCProtocol(m=9, d=1)

@@ -33,7 +33,7 @@ def clean_stack():
 
 
 def wide():
-    """A protocol the auto policy sends down the ensemble path."""
+    """A protocol auto routes down the ensemble path."""
     return AVCProtocol.with_num_states(18)
 
 
@@ -85,20 +85,41 @@ class TestEngineAccounting:
 
     def test_auto_fallback_emits_event(self):
         """Auto was eligible for the ensemble but an observer forces
-        the per-trial path — the downgrade must be recorded."""
+        the per-trial path — the route's reason says so."""
         sink = InMemorySink()
         spec = RunSpec(wide(), n=41, epsilon=5 / 41, num_trials=4,
                        seed=1, event_observer=lambda *e: None,
                        telemetry=Telemetry([sink]))
-        simulate(spec)
-        (event,) = sink.events("engine.fallback")
-        assert "event_observer" in event["labels"]["reason"]
+        results = simulate(spec)
+        (event,) = sink.events("engine.selected")
+        assert event["labels"]["requested"] == "auto"
+        assert event["labels"]["engine"] == results[0].engine_name
+        assert event["labels"]["reason"] \
+            == "instrumentation: event_observer"
+        assert sink.events("engine.fallback") == []
 
     def test_no_fallback_event_on_the_happy_path(self):
         sink = InMemorySink()
-        simulate(RunSpec(wide(), n=41, epsilon=5 / 41, num_trials=4,
-                         seed=1, telemetry=Telemetry([sink])))
+        results = simulate(RunSpec(wide(), n=41, epsilon=5 / 41,
+                                   num_trials=4, seed=1,
+                                   telemetry=Telemetry([sink])))
         assert sink.events("engine.fallback") == []
+        (event,) = sink.events("engine.selected")
+        assert event["labels"]["engine"] == results[0].engine_name
+        assert "count-ensemble cut" in event["labels"]["reason"]
+
+    def test_graph_is_its_own_reason(self):
+        import networkx as nx
+
+        sink = InMemorySink()
+        protocol = wide()
+        initial = protocol.initial_counts(23, 18)
+        simulate(RunSpec(protocol, initial=initial, num_trials=2, seed=1,
+                         graph=nx.complete_graph(41),
+                         telemetry=Telemetry([sink])))
+        (event,) = sink.events("engine.selected")
+        assert event["labels"]["engine"] == "agent"
+        assert event["labels"]["reason"] == "interaction graph"
 
     def test_run_majority_records_through_spec_telemetry(self):
         sink = InMemorySink()
