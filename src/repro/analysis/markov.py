@@ -9,7 +9,9 @@ configuration space is tiny, so we can compute exactly:
   configurations;
 * settlement probabilities per decision — e.g. the *exact* error
   probability of the three-state protocol, the quantity Figure 3
-  (right) estimates by simulation.
+  (right) estimates by simulation;
+* the exact distribution of the settling step, from powers of the
+  transient block ``Q``.
 
 These exact numbers are the ground truth the simulation engines are
 validated against (``tests/analysis/test_markov.py``).
@@ -174,6 +176,43 @@ class ConfigurationChain:
         system = identity(len(transient), format="csr") - q_matrix
         times = spsolve(system.tocsc(), np.ones(len(transient)))
         return float(times[position[0]])
+
+    def settling_step_cdf(self, t):
+        """``P(settled by step t)``, exactly, at each ``t``.
+
+        ``t`` is a step count or an array of them (interactions, not
+        parallel time).  The mass still transient after ``k`` steps is
+        ``e_0 Q^k``; of it, the share ``(e_0 Q^k) r`` settles at step
+        ``k + 1``, where ``r`` holds each transient configuration's
+        one-step probability of entering the settled set.  A reachable
+        frozen deadlock never settles, so the CDF then stays below 1.
+        Returns a float for a scalar ``t``, else an array shaped like
+        ``t``.
+        """
+        steps = np.floor(np.asarray(t, dtype=float))
+        horizon = int(max(steps.max(initial=0.0), 0.0))
+        cdf = np.zeros(horizon + 1)
+        if self.settled[0]:
+            cdf[:] = 1.0
+        elif not self.frozen_unsettled[0]:
+            transient, position, q_matrix = self._transient_system()
+            step_q = q_matrix.T.tocsr()
+            settle_rate = np.zeros(len(transient))
+            for idx, k in enumerate(transient):
+                for target, probability in \
+                        self._adjacency[int(k)].items():
+                    if self.settled[self.index_of[target]]:
+                        settle_rate[idx] += probability
+            mass = np.zeros(len(transient))
+            mass[position[0]] = 1.0
+            settled = 0.0
+            for k in range(1, horizon + 1):
+                settled += float(mass @ settle_rate)
+                cdf[k] = settled
+                mass = step_q @ mass
+        values = np.where(steps < 0, 0.0,
+                          cdf[np.clip(steps, 0, horizon).astype(int)])
+        return float(values) if values.ndim == 0 else values
 
     def settlement_probabilities(self) -> dict:
         """Probability of settling per decision (plus ``None`` for

@@ -20,6 +20,13 @@ initiates interactions at rate 1, so inter-interaction times are
 exponential with mean ``1/n``, and the time skipped over ``k`` steps is
 ``Gamma(k, 1/n)``.  Parallel time and continuous time agree in
 expectation; the continuous engine samples the actual clock.
+
+With a usable compiled backend (:mod:`repro.sim.kernels`) the whole
+trial loop runs in one kernel call, drawing through numpy's own
+geometric, gamma and bounded-integer samplers on the same generator,
+so it returns the Python loop's results and leaves the generator in
+the same state.  Runs with a recorder, an event observer or a
+count-sensitive protocol's generic tracker keep the Python loop.
 """
 
 from __future__ import annotations
@@ -27,6 +34,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ProtocolError
+from . import kernels
+from .convergence import UnanimitySettleTracker
 from .engine import Engine, check_budget_sanity
 
 __all__ = ["NullSkippingEngine", "ContinuousTimeEngine"]
@@ -36,7 +45,7 @@ __all__ = ["NullSkippingEngine", "ContinuousTimeEngine"]
 _MAX_STATES = 128
 
 
-class NullSkippingEngine(Engine):
+class NullSkippingEngine(kernels._KernelTablesMixin, Engine):
     """Exact simulation that analytically skips null interactions."""
 
     name = "null-skipping"
@@ -64,6 +73,13 @@ class NullSkippingEngine(Engine):
 
     def _simulate(self, counts, n, rng, max_steps, tracker, recorder):
         check_budget_sanity(max_steps)
+        # The backend loads on the first run, not at construction.
+        if (recorder is None
+                and type(tracker) is UnanimitySettleTracker
+                and n <= kernels.MAX_KERNEL_N
+                and kernels.default_backend() is not None):
+            return self._simulate_compiled(counts, n, rng, max_steps,
+                                           tracker)
         pairs = self._productive_pairs()
         total_pairs = n * (n - 1)
         inv_n = 1.0 / n
@@ -119,6 +135,23 @@ class NullSkippingEngine(Engine):
             if tracker.settled():
                 time_value = elapsed if self._track_time else None
                 return steps, productive, False, time_value
+
+    def _simulate_compiled(self, counts, n, rng, max_steps, tracker):
+        """The Python loop above in one kernel call: the same draws
+        from ``rng``, the same result."""
+        ptab, cls = self._kernel_tables()
+        pairs = getattr(self, "_productive_flat", None)
+        if pairs is None:
+            # Flat i * s + j indices, i-major like _productive_pairs.
+            pairs = np.flatnonzero((ptab >> 32) & 1).astype(np.int64)
+            self._productive_flat = pairs
+        vec = np.array(counts, dtype=np.int64)
+        steps, productive, frozen, elapsed = kernels.load().null_skip_run(
+            rng, vec, n, max_steps, self._track_time, ptab, cls, pairs)
+        counts[:] = vec.tolist()
+        tracker.reset(counts)
+        return (steps, productive, frozen,
+                elapsed if self._track_time else None)
 
 
 class ContinuousTimeEngine(NullSkippingEngine):

@@ -4,7 +4,10 @@ The hottest paths in the repo — the count-ensemble engine's whole
 clean trial loop, the count engine's Fenwick-tree sample+update loop,
 and the batch engine's matching step — have compiled twins registered
 as ``count-ensemble-jit`` / ``count-jit`` / ``batch-jit`` (see
-:mod:`repro.sim.engines`).  One backend provides them:
+:mod:`repro.sim.engines`).  The null-skipping trial loop
+(``null_skip_run``) has no engine name of its own: ``null-skipping``
+and ``continuous-time`` call it whenever a backend is usable and keep
+their Python loop otherwise.  One backend provides them:
 
 ``cext``
     A dependency-free C translation unit compiled on demand with the
@@ -47,10 +50,12 @@ __all__ = [
 #: Usable kernel backends, in probe order.
 BACKENDS = ("cext",)
 
-#: Population bound for the compiled ensemble round: positions must
-#: fit the packed hash entries' 34-bit field and ``n(n-1)`` must stay
-#: below 2^52 for the exact double divmod.  Beyond it (far past paper
-#: scale) the engine inherits the numpy path.
+#: Population bound for the compiled loops: positions must fit the
+#: packed hash entries' 34-bit field and ``n(n-1)`` must stay below
+#: 2^52 for the ensemble round's exact double divmod and for null
+#: skipping's success probability ``W / (n(n-1))``, a division of two
+#: exact doubles.  Beyond it (far past paper scale) the engine
+#: inherits the numpy/Python path.
 MAX_KERNEL_N = 1 << 26
 
 #: Row bound for the compiled ensemble batch (its per-row buffers).
@@ -66,6 +71,11 @@ JIT_UPGRADES = {
     "count": "count-jit",
     "count-ensemble": "count-ensemble-jit",
 }
+
+#: Engines without a ``-jit`` name whose inner loop runs compiled
+#: when a backend is usable (``auto`` may route to any of them).
+_COMPILED_LOOP_ENGINES = frozenset(("auto", "null-skipping",
+                                    "continuous-time"))
 
 _state: dict = {"probed": False, "backend": None, "reason": None,
                 "mods": {}}
@@ -205,6 +215,30 @@ def pack_transition_blocks(blocks, state_class):
     return packed.reshape(-1)
 
 
+class _KernelTablesMixin:
+    """Shared per-engine cache of the packed kernel tables.
+
+    Packed straight from the protocol's row blocks, so the memoized
+    ``s x s`` :meth:`transition_matrix` pair is used when it already
+    exists but never built for this: at s = 1002 the pair is 16 MB
+    beside the 8 MB packed table.
+    """
+
+    def _kernel_tables(self):
+        cached = getattr(self, "_kernel_tables_cache", None)
+        if cached is None:
+            import numpy as np
+
+            from ..ensemble_common import class_tables
+
+            state_class, _ = class_tables(self.protocol)
+            cls = np.ascontiguousarray(state_class, dtype=np.int64)
+            cached = (pack_transition_blocks(
+                self.protocol.iter_transition_rows(), cls), cls)
+            self._kernel_tables_cache = cached
+        return cached
+
+
 def jit_engine_name(name: str) -> str:
     """``name``'s JIT twin when a backend is usable, else ``name``."""
     upgraded = JIT_UPGRADES.get(name)
@@ -231,13 +265,12 @@ def warm_up_for_spec(spec) -> None:
     """Pool-initializer hook: warm the kernels a spec will use.
 
     Called once per worker process (never per chunk).  Only engines
-    that can resolve to a JIT implementation trigger a warm-up; plain
+    that can run a compiled loop trigger a warm-up: the JIT engines,
+    null skipping and its continuous-time variant, and ``auto``; plain
     numpy specs cost one string check.
     """
     engine = getattr(spec, "engine", None)
     name = engine if isinstance(engine, str) else \
         getattr(engine, "name", "")
-    if name.endswith("-jit"):
-        warm_up()
-    elif name == "auto" and default_backend() is not None:
+    if name.endswith("-jit") or name in _COMPILED_LOOP_ENGINES:
         warm_up()

@@ -12,6 +12,12 @@
  *                            the stream is Generator.integers'), the
  *                            window step below, retirement, and window
  *                            adaptation -- one foreign call per chunk;
+ *   repro_null_skip_run   -- the whole null-skipping trial loop
+ *                            (gillespie.py's NullSkippingEngine and
+ *                            ContinuousTimeEngine): geometric skips,
+ *                            gamma clock and pair draws through
+ *                            numpy's own samplers, one foreign call
+ *                            per trial;
  *   repro_ensemble_round  -- the count-ensemble collision-bounded
  *                            window step on pre-drawn values
  *                            (count_ensemble_engine.py's per-round
@@ -33,8 +39,9 @@
  * loops do a single table load per interaction.
  *
  * Numeric contracts (guarded on the Python side):
- *   n  <= 2^26   so n(n-1) < 2^52 (exact double divmod) and positions
- *                fit the int32 scratch arrays;
+ *   n  <= 2^26   so n(n-1) < 2^52 (exact double divmod, and an exact
+ *                double for null skipping's success probability)
+ *                and positions fit the int32 scratch arrays;
  *   W  <  2^16   so the slot index fits a hash entry's bottom half
  *                (follows from the 4096 window cap);
  *   s  <= 2^12   successor states fit the packed table's 16-bit
@@ -545,6 +552,124 @@ EXPORT int64_t repro_ensemble_batch(
     free(raw);
     free(per_row);
     scratch_free(&sc);
+    return 0;
+}
+
+/* numpy's geometric and gamma samplers (libnpyrandom.a): the routines
+ * behind Generator.geometric(p) and Generator.gamma(shape, scale). */
+int64_t random_geometric(bitgen_t *bitgen_state, double p);
+double random_gamma(bitgen_t *bitgen_state, double shape, double scale);
+
+/* Generator.geometric(p, size=cnt) and Generator.gamma(shape, scale,
+ * size=cnt) into out; the load-time check compares them with numpy. */
+EXPORT void repro_geometric_fill(void *bitgen, double p, int64_t cnt,
+                                 int64_t *out)
+{
+    for (int64_t t = 0; t < cnt; t++)
+        out[t] = random_geometric((bitgen_t *)bitgen, p);
+}
+
+EXPORT void repro_gamma_fill(void *bitgen, double shape, double scale,
+                             int64_t cnt, double *out)
+{
+    for (int64_t t = 0; t < cnt; t++)
+        out[t] = random_gamma((bitgen_t *)bitgen, shape, scale);
+}
+
+/* One null-skipping trial: NullSkippingEngine._simulate with the
+ * plain unanimity tracker, draw for draw.  Per productive event it
+ * rebuilds the weights W_k of the productive ordered pairs (pairs[k]
+ * = i*s + j in i-major order, as _productive_pairs lists them), skips
+ * Generator.geometric(W/(n(n-1))) steps, adds Generator.gamma(skip,
+ * 1/n) to the clock when track_time is set, picks the pair through
+ * Generator.integers(0, W) (the scalar path: one unmasked bounded
+ * draw) and applies it through the packed table, whose class deltas
+ * stand in for the tracker.  W and n(n-1) are exact doubles (n <=
+ * 2^26), so the success probability is the Python division's.  Like
+ * the Python loop it checks for settling only after a productive
+ * event (Engine.run never simulates a settled start).  The caller
+ * holds the bit generator's lock.
+ *
+ * In:  counts (s,) the start configuration, mutated in place;
+ *      pairs (npairs,) flat indices of the productive pairs.
+ * Out: out = {steps, productive, frozen}; *elapsed the clock.
+ * Returns 0, or -1 when the weight buffer cannot be allocated.
+ */
+EXPORT int64_t repro_null_skip_run(
+    void *bitgen, int64_t n, int64_t s, int64_t max_steps,
+    int64_t track_time, int64_t *counts, const int64_t *ptab,
+    const int64_t *cls, const int64_t *pairs, int64_t npairs,
+    int64_t *out, double *elapsed)
+{
+    bitgen_t *bg = (bitgen_t *)bitgen;
+    int64_t *weights = malloc((size_t)(3 * npairs + 1)
+                              * sizeof(int64_t));
+    if (!weights)
+        return -1;
+    int64_t *pi = weights + npairs, *pj = weights + 2 * npairs;
+    for (int64_t k = 0; k < npairs; k++) {
+        pi[k] = pairs[k] / s;
+        pj[k] = pairs[k] % s;
+    }
+    const double total_pairs = (double)(n * (n - 1));
+    const double inv_n = 1.0 / (double)n;
+    int64_t c[3] = {0, 0, 0};
+    for (int64_t k = 0; k < s; k++)
+        c[cls[k]] += counts[k];
+
+    int64_t steps = 0, productive = 0, frozen = 0;
+    double clock = 0.0;
+    for (;;) {
+        int64_t total = 0;
+        for (int64_t k = 0; k < npairs; k++) {
+            const int64_t i = pi[k], j = pj[k];
+            const int64_t w = i == j ? counts[i] * (counts[i] - 1)
+                                     : counts[i] * counts[j];
+            weights[k] = w;
+            total += w;
+        }
+        if (total == 0) {
+            /* no state-changing interaction is possible, ever */
+            frozen = 1;
+            break;
+        }
+        const int64_t skip = random_geometric(
+            bg, (double)total / total_pairs);
+        /* skip can be INT64_MAX at tiny p: compare without adding */
+        if (skip > max_steps - steps) {
+            const int64_t remaining = max_steps - steps;
+            if (track_time && remaining > 0)
+                clock += random_gamma(bg, (double)remaining, inv_n);
+            steps = max_steps;
+            break;
+        }
+        steps += skip;
+        if (track_time)
+            clock += random_gamma(bg, (double)skip, inv_n);
+        productive++;
+
+        uint64_t target;
+        random_bounded_uint64_fill(bg, 0, (uint64_t)(total - 1), 1,
+                                   false, &target);
+        int64_t k = 0, acc = weights[0];
+        while ((int64_t)target >= acc)
+            acc += weights[++k];
+        const int64_t e = ptab[pairs[k]];
+        counts[pi[k]]--;
+        counts[pj[k]]--;
+        counts[PT_XI(e)]++;
+        counts[PT_YJ(e)]++;
+        c[0] += PT_DC0(e);
+        c[1] += PT_DC1(e);
+        c[2] += PT_DC2(e);
+        if (c[0] == 0 && ((c[1] == 0) != (c[2] == 0)))
+            break;
+    }
+    out[0] = steps;
+    out[1] = productive;
+    out[2] = frozen;
+    *elapsed = clock;
+    free(weights);
     return 0;
 }
 

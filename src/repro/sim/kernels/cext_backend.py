@@ -6,14 +6,15 @@ by a hash of the source and the numpy version, so editing the source
 or upgrading numpy triggers a rebuild, and concurrent builders race
 benignly through an atomic rename), then loaded with ctypes.  No
 Python.h; the build needs a working ``cc`` plus numpy's own headers
-and its static ``libnpyrandom.a``, whose bounded-integer routine the
-batch loop draws through so its stream is ``Generator.integers``'.
+and its static ``libnpyrandom.a``, whose bounded-integer, geometric
+and gamma routines the compiled loops draw through so their streams
+are ``Generator.integers``', ``.geometric``'s and ``.gamma``'s.
 
 The wrappers below expose ``ensemble_batch``, ``ensemble_round``,
-``count_block`` and ``batch_match``, taking C-contiguous int64 numpy
-arrays.  Contracts (shapes, value ranges) are documented in
-``_kernels.c``; the wrappers assert only what ctypes cannot survive
-without (dtype and contiguity).
+``null_skip_run``, ``count_block`` and ``batch_match``, taking
+C-contiguous int64 numpy arrays.  Contracts (shapes, value ranges)
+are documented in ``_kernels.c``; the wrappers assert only what ctypes
+cannot survive without (dtype and contiguity).
 """
 
 from __future__ import annotations
@@ -111,6 +112,7 @@ def build(force: bool = False) -> Path:
 
 
 _I64 = ctypes.c_int64
+_F64 = ctypes.c_double
 _P = ctypes.c_void_p
 
 
@@ -121,34 +123,54 @@ def _ptr(array: np.ndarray) -> int:
 
 
 def _check_draws(lib) -> None:
-    """Raise unless the C draw path reproduces ``Generator.integers``.
+    """Raise unless the C draw paths reproduce numpy's samplers.
 
-    The batch loop draws through numpy's static bounded-integer
-    routine; a numpy whose library and Python layer disagree (or a
-    changed bit generator layout) would silently move every stream.
-    Both 32-bit and 64-bit bounds, odd counts (the buffered 32-bit
-    half-words) and the generator state afterwards are compared.
+    The compiled loops draw through numpy's static bounded-integer,
+    geometric and gamma routines; a numpy whose library and Python
+    layer disagree (or a changed bit generator layout) would silently
+    move every stream.  Compared: ``Generator.integers`` at 32-bit and
+    64-bit bounds with odd counts (the buffered 32-bit half-words),
+    ``Generator.geometric`` on both branches (search for p >= 1/3,
+    inversion below), ``Generator.gamma`` at shapes below, at and above
+    1, and the generator state after each.
     """
-    for span in (2, 3, 1001 * 1000, (1 << 20) * ((1 << 20) - 1)):
-        ours = np.random.default_rng(span)
-        theirs = np.random.default_rng(span)
+    def draw(seed, ours, theirs, what):
+        mine = np.random.default_rng(seed)
+        reference = np.random.default_rng(seed)
         for count in (1, 7, 64):
-            out = np.empty(count, dtype=np.int64)
-            bit_generator = ours.bit_generator
+            bit_generator = mine.bit_generator
             with bit_generator.lock:
-                lib.repro_bounded_fill(
-                    bit_generator.ctypes.bit_generator, span - 1, count,
-                    _ptr(out))
-            expected = theirs.integers(0, span, size=count,
-                                       dtype=np.int64)
-            if not np.array_equal(out, expected):
+                out = ours(bit_generator.ctypes.bit_generator, count)
+            if not np.array_equal(out, theirs(reference, count)):
                 raise KernelBuildError(
-                    "compiled draws differ from Generator.integers "
-                    f"(numpy {np.__version__}, span {span})")
-        if ours.bit_generator.state != theirs.bit_generator.state:
+                    f"compiled draws differ from {what} "
+                    f"(numpy {np.__version__})")
+        if mine.bit_generator.state != reference.bit_generator.state:
             raise KernelBuildError(
                 "compiled draws leave a different generator state "
-                f"than Generator.integers (numpy {np.__version__})")
+                f"than {what} (numpy {np.__version__})")
+
+    def fill(function, dtype, *args):
+        def ours(bit_generator, count):
+            out = np.empty(count, dtype=dtype)
+            function(bit_generator, *args, count, out.ctypes.data)
+            return out
+        return ours
+
+    for span in (2, 3, 1001 * 1000, (1 << 20) * ((1 << 20) - 1)):
+        draw(span, fill(lib.repro_bounded_fill, np.int64, span - 1),
+             lambda rng, count, span=span: rng.integers(
+                 0, span, size=count, dtype=np.int64),
+             f"Generator.integers(0, {span})")
+    for p in (1.0, 0.5, 1 / 3, 0.25, 1e-3, 2 / (1001 * 1000)):
+        draw(17, fill(lib.repro_geometric_fill, np.int64, p),
+             lambda rng, count, p=p: rng.geometric(p, size=count),
+             f"Generator.geometric({p})")
+    for shape in (0.5, 1.0, 3.0, 1e6):
+        draw(23, fill(lib.repro_gamma_fill, np.float64, shape, 1e-3),
+             lambda rng, count, shape=shape: rng.gamma(
+                 shape, 1e-3, size=count),
+             f"Generator.gamma({shape})")
 
 
 def load():
@@ -167,6 +189,13 @@ def load():
 
     lib.repro_bounded_fill.restype = None
     lib.repro_bounded_fill.argtypes = [_P, _I64, _I64, _P]
+    lib.repro_geometric_fill.restype = None
+    lib.repro_geometric_fill.argtypes = [_P, _F64, _I64, _P]
+    lib.repro_gamma_fill.restype = None
+    lib.repro_gamma_fill.argtypes = [_P, _F64, _F64, _I64, _P]
+    lib.repro_null_skip_run.restype = _I64
+    lib.repro_null_skip_run.argtypes = [
+        _P, _I64, _I64, _I64, _I64, _P, _P, _P, _P, _I64, _P, _P]
     lib.repro_ensemble_batch.restype = _I64
     lib.repro_ensemble_batch.argtypes = [
         _P, _I64, _I64, _I64, _I64, _I64, _I64, _I64, _P, _P, _P,
@@ -196,6 +225,23 @@ def load():
         if status:
             raise MemoryError("ensemble batch work buffers")
 
+    def null_skip_run(generator, counts, n, max_steps, track_time, ptab,
+                      cls, pairs):
+        """One null-skipping trial from ``counts`` (mutated in place);
+        ``(steps, productive, frozen, elapsed)``."""
+        out = np.zeros(3, dtype=np.int64)
+        elapsed = ctypes.c_double(0.0)
+        bit_generator = generator.bit_generator
+        with bit_generator.lock:
+            status = lib.repro_null_skip_run(
+                bit_generator.ctypes.bit_generator, n, counts.shape[0],
+                max_steps, track_time, _ptr(counts), _ptr(ptab),
+                _ptr(cls), _ptr(pairs), pairs.shape[0], _ptr(out),
+                ctypes.byref(elapsed))
+        if status:
+            raise MemoryError("null-skipping work buffer")
+        return int(out[0]), int(out[1]), bool(out[2]), elapsed.value
+
     def ensemble_round(raw, counts, remaining, n, ptab, cls,
                        consumed, round_prod, settled, settle_step,
                        settle_prod, decision):
@@ -224,6 +270,7 @@ def load():
 
     _Kernels.ensemble_batch = staticmethod(ensemble_batch)
     _Kernels.ensemble_round = staticmethod(ensemble_round)
+    _Kernels.null_skip_run = staticmethod(null_skip_run)
     _Kernels.count_block = staticmethod(count_block)
     _Kernels.batch_match = staticmethod(batch_match)
     return _Kernels

@@ -37,35 +37,10 @@ from ..count_ensemble_engine import (
 )
 from ..engine import check_budget_sanity
 from ..engines import ENSEMBLE_MAX_STATES
-from ..ensemble_common import class_tables, emit_chunk_telemetry
-from . import (
-    MAX_KERNEL_N,
-    MAX_KERNEL_TRIALS,
-    load,
-    pack_transition_blocks,
-)
+from ..ensemble_common import emit_chunk_telemetry
+from . import MAX_KERNEL_N, MAX_KERNEL_TRIALS, _KernelTablesMixin, load
 
 __all__ = ["JitCountEngine", "JitCountEnsembleEngine", "JitBatchEngine"]
-
-
-class _KernelTablesMixin:
-    """Shared per-engine cache of the packed kernel tables.
-
-    Packed straight from the protocol's row blocks, so the memoized
-    ``s x s`` :meth:`transition_matrix` pair is used when it already
-    exists but never built for this: at s = 1002 the pair is 16 MB
-    beside the 8 MB packed table.
-    """
-
-    def _kernel_tables(self):
-        cached = getattr(self, "_kernel_tables_cache", None)
-        if cached is None:
-            state_class, _ = class_tables(self.protocol)
-            cls = np.ascontiguousarray(state_class, dtype=np.int64)
-            cached = (pack_transition_blocks(
-                self.protocol.iter_transition_rows(), cls), cls)
-            self._kernel_tables_cache = cached
-        return cached
 
 
 class _JitCountLoopMixin(_KernelTablesMixin):

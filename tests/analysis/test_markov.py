@@ -8,6 +8,7 @@ configuration chain.
 
 import math
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -18,7 +19,7 @@ from repro import (
 )
 from repro.analysis.markov import ConfigurationChain
 from repro.errors import InvalidParameterError
-from repro.sim import AgentEngine, CountEngine, NullSkippingEngine
+from repro.sim import AgentEngine, CountEngine, NullSkippingEngine, kernels
 from repro.rng import spawn_many
 
 
@@ -132,3 +133,77 @@ class TestEnginesAgainstExactChain:
             CountEngine(protocol), protocol, counts, seed=60)
         assert error_rate == 0.0
         assert mean_steps == pytest.approx(exact_steps, rel=0.15)
+
+
+def ks_on_integers(samples, cdf):
+    """One-sample KS statistic and p-value against a law on the integers.
+
+    Both the empirical and the exact CDF are step functions that jump
+    only at integers, so the supremum of their gap is attained at a
+    sample point ``x`` or just before it, at ``x - 1``.  The continuous
+    Kolmogorov law then gives a conservative p-value.
+    """
+    from scipy.stats import kstwo
+
+    x = np.sort(np.asarray(samples))
+    size = len(x)
+    at = np.searchsorted(x, x, side="right") / size
+    before = np.searchsorted(x, x - 1, side="right") / size
+    statistic = max(np.abs(at - cdf(x)).max(),
+                    np.abs(before - cdf(x - 1)).max())
+    return statistic, kstwo.sf(statistic, size)
+
+
+class TestSettlingStepLaw:
+    """The exact settling-step distribution, and null skipping against
+    it through both of its loops."""
+
+    TRIALS = 2000
+    STARTS = {
+        "avc-s4": (lambda: AVCProtocol.with_num_states(4), 7, 5),
+        "four-state": (FourStateProtocol, 6, 5),
+    }
+
+    def test_cdf_mean_is_expected_settling_time(self):
+        protocol = AVCProtocol(m=3, d=1)
+        chain = ConfigurationChain(protocol, protocol.initial_counts(3, 2))
+        cdf = chain.settling_step_cdf(np.arange(4000))
+        assert np.all(np.diff(cdf) >= 0) and cdf[0] == 0.0
+        assert chain.settling_step_cdf(-1) == 0.0
+        assert float(np.sum(1.0 - cdf)) == pytest.approx(
+            chain.expected_settling_time(), rel=1e-9)
+
+    def test_cdf_edge_cases(self):
+        protocol = FourStateProtocol()
+        settled = ConfigurationChain(protocol, protocol.initial_counts(4, 0))
+        assert settled.settling_step_cdf(0) == 1.0
+        # A tie can deadlock: the CDF tops out at the settling chance.
+        tie = ConfigurationChain(protocol, protocol.initial_counts(3, 3))
+        never = tie.settlement_probabilities().get(None, 0.0)
+        assert never > 0
+        assert tie.settling_step_cdf(10_000) == pytest.approx(1 - never)
+
+    @pytest.mark.parametrize("compiled", [True, False],
+                             ids=["compiled", "python"])
+    @pytest.mark.parametrize("start", STARTS)
+    def test_null_skipping_steps_follow_exact_law(self, start, compiled,
+                                                  monkeypatch):
+        if compiled and kernels.default_backend() is None:
+            pytest.skip("no usable kernel backend on this host")
+        if not compiled:
+            monkeypatch.setattr(kernels, "default_backend", lambda: None)
+        factory, count_a, count_b = self.STARTS[start]
+        protocol = factory()
+        counts = protocol.initial_counts(count_a, count_b)
+        chain = ConfigurationChain(protocol, counts)
+        engine = NullSkippingEngine(protocol)
+        rng = np.random.default_rng(11)
+        steps = [engine.run(counts, rng=rng).steps
+                 for _ in range(self.TRIALS)]
+        _, p_value = ks_on_integers(steps, chain.settling_step_cdf)
+        assert p_value > 0.01
+        # Power: the same sample is far off the law of a wider margin.
+        wider = ConfigurationChain(
+            protocol, protocol.initial_counts(count_a + 1, count_b - 1))
+        _, p_wider = ks_on_integers(steps, wider.settling_step_cdf)
+        assert p_wider < 1e-6

@@ -81,18 +81,38 @@ PINNED_TRAJECTORIES = [
     ("agent", lambda: AVCProtocol(m=15, d=1),
      dict(n=100, epsilon=0.2, num_trials=2, seed=7),
      [(764, 389, 1), (711, 359, 1)]),
+    ("null-skipping", ThreeStateProtocol,
+     dict(n=100, epsilon=0.2, num_trials=3, seed=7),
+     [(972, 278, 1), (676, 294, 1), (918, 258, 1)]),
+    ("null-skipping", FourStateProtocol,
+     dict(n=100, epsilon=0.2, num_trials=3, seed=7),
+     [(1871, 174, 1), (1605, 156, 1), (1684, 140, 1)]),
+    ("null-skipping", lambda: AVCProtocol(m=15, d=1),
+     dict(n=200, epsilon=0.1, num_trials=3, seed=7),
+     [(2025, 779, 1), (1484, 733, 1), (1876, 857, 1)]),
+    # The continuous-time entries also pin the sampled clock, bit for
+    # bit (a float repr round-trips).
+    ("continuous-time", FourStateProtocol,
+     dict(n=100, epsilon=0.2, num_trials=3, seed=7),
+     [(1274, 110, 1, 12.412778515507725),
+      (786, 128, 1, 7.892846832149046),
+      (1058, 116, 1, 11.273687761409148)]),
 ]
 
 
 @pytest.mark.parametrize(
     "engine,factory,spec_kwargs,expected", PINNED_TRAJECTORIES,
     ids=["count-avc", "count-three-state", "count-four-state",
-         "ensemble-avc", "agent-avc"])
+         "ensemble-avc", "agent-avc", "null-skipping-three-state",
+         "null-skipping-four-state", "null-skipping-avc",
+         "continuous-time-four-state"])
 def test_seed7_streams_are_pinned(engine, factory, spec_kwargs,
                                   expected):
     results = simulate(RunSpec(factory(), engine=engine,
                                **spec_kwargs))
     observed = [(r.steps, r.productive_steps, r.decision)
+                + ((r.continuous_time,) if engine == "continuous-time"
+                   else ())
                 for r in results]
     assert observed == expected
 
