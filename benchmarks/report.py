@@ -80,7 +80,7 @@ WORKLOAD = {
 }
 #: Trial counts per engine in the default (quick) mode.
 QUICK_TRIALS = {"ensemble": 100, "count-ensemble": 100,
-                "count-ensemble-jit": 100, "batch": 100, "count": 10}
+                "count-ensemble-jit": 100, "count": 10}
 
 #: The count-ensemble scaling rows (``--scaling``): populations, the
 #: per-trial interaction cap (full convergence needs ~n log n
@@ -507,12 +507,11 @@ def main(argv=None) -> int:
     parser.add_argument("--label", default=None,
                         help="free-form tag for this record")
     parser.add_argument("--engines", nargs="+",
-                        default=["count", "batch", "ensemble",
-                                 "count-ensemble",
+                        default=["count", "ensemble", "count-ensemble",
                                  "count-ensemble-jit"],
                         help="engines to measure, applied to the "
                              "matrix AND the --scaling rows (default: "
-                             "count batch ensemble count-ensemble "
+                             "count ensemble count-ensemble "
                              "count-ensemble-jit)")
     parser.add_argument("--full", action="store_true",
                         help="run every engine on the full 100-trial "

@@ -11,7 +11,6 @@ import pytest
 from repro import AVCProtocol, FourStateProtocol
 from repro.sim import (
     AgentEngine,
-    BatchEngine,
     CountEngine,
     CountEnsembleEngine,
     EnsembleEngine,
@@ -45,7 +44,7 @@ def test_four_state_engines(benchmark, engine_class):
 
 
 @pytest.mark.parametrize("engine_class", [
-    AgentEngine, CountEngine, BatchEngine,
+    AgentEngine, CountEngine,
 ], ids=lambda c: c.name)
 def test_avc_engines(benchmark, engine_class):
     """AVC s=66, n = 2001, margin one agent."""

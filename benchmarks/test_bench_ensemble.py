@@ -1,4 +1,4 @@
-"""Benchmark: ensemble vs count vs batch on multi-trial sweep points.
+"""Benchmark: ensemble vs count on multi-trial sweep points.
 
 The ensemble engine exists to make ``run_trials`` fast, so these
 benches time whole ``run_trials`` calls (the unit the experiment
@@ -37,7 +37,7 @@ def sweep_point(n, engine, trials):
 
 
 @pytest.mark.parametrize("n", sorted(TRIALS))
-@pytest.mark.parametrize("engine", ["ensemble", "count", "batch"])
+@pytest.mark.parametrize("engine", ["ensemble", "count"])
 def test_sweep_point_throughput(benchmark, engine, n):
     trials = TRIALS[n]
     interactions = benchmark.pedantic(

@@ -2,8 +2,8 @@
 
 These guard the constants that the engines' complexity claims rest
 on: Fenwick-tree operations (the count engine's O(log s) per step),
-the vectorized AVC kernel (the batch engine's per-pair cost), and the
-SSA event loop.
+the vectorized AVC kernel (the per-pair cost of filling AVC's
+transition table), and the SSA event loop.
 """
 
 import numpy as np

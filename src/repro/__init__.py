@@ -89,7 +89,6 @@ from .workloads import (
 )
 from .sim import (
     AgentEngine,
-    BatchEngine,
     ContinuousTimeEngine,
     CountEngine,
     CountEnsembleEngine,
@@ -145,7 +144,6 @@ __all__ = [
     "EnsembleEngine",
     "NullSkippingEngine",
     "ContinuousTimeEngine",
-    "BatchEngine",
     "RunResult",
     "RunSpec",
     "simulate",

@@ -133,11 +133,15 @@ class AVCProtocol(MajorityProtocol):
         # on them).
         return shift_to_zero(x, d), shift_to_zero(y, d)
 
-    def _build_batch_kernel(self):
-        """Arithmetic numpy kernel (no ``s x s`` table needed)."""
-        from .vectorized import AVCBatchKernel
+    def _batch_kernel(self):
+        """The arithmetic numpy kernel (no ``s x s`` table needed),
+        memoized per instance."""
+        kernel = getattr(self, "_batch_kernel_cache", None)
+        if kernel is None:
+            from .vectorized import AVCBatchKernel
 
-        return AVCBatchKernel(self)
+            kernel = self._batch_kernel_cache = AVCBatchKernel(self)
+        return kernel
 
     def _transition_rows(self, start, stop):
         """Rows ``start:stop`` of the dense table, from the kernel.
@@ -149,7 +153,7 @@ class AVCProtocol(MajorityProtocol):
         s = self.num_states
         rows = np.repeat(np.arange(start, stop, dtype=np.int64), s)
         columns = np.tile(np.arange(s, dtype=np.int64), stop - start)
-        new_x, new_y = self.make_batch_kernel()(rows, columns)
+        new_x, new_y = self._batch_kernel()(rows, columns)
         return (new_x.reshape(stop - start, s),
                 new_y.reshape(stop - start, s))
 

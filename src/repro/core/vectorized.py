@@ -1,10 +1,9 @@
 """Vectorized (numpy) kernel for the AVC transition function.
 
-The batch engine applies the transition to thousands of agent pairs at
-once.  For protocols with small state spaces it fancy-indexes a dense
-transition table, but AVC with ``s ~ n`` states would need an
-``s x s`` table — far too large.  Instead this kernel evaluates
-Figure 1's arithmetic directly on numpy arrays.
+AVC's dense transition table is filled from this kernel in row blocks
+(:meth:`AVCProtocol._transition_rows`): with ``s ~ n`` states the
+per-pair fill would cost ``s^2`` Python calls, so this kernel
+evaluates Figure 1's arithmetic directly on numpy arrays.
 
 Internal representation per agent (two ``int64`` arrays):
 

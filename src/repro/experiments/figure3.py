@@ -22,9 +22,8 @@ Protocol/engine choices:
   ensemble: the compiled count ensemble from n = 17 when a kernel
   backend is usable, the token ensemble below that or without one
   (see ``docs/engines.md``).  Pass ``avc_engine="ensemble"`` (or
-  ``"count-ensemble"``) to pin an ensemble, ``"count"`` for the
-  sequential exact engine, or ``"batch"`` for the approximate
-  vectorized engine at paper scale.
+  ``"count-ensemble"``) to pin an ensemble, or ``"count"`` for the
+  sequential exact engine.
 
 Expected shape (see EXPERIMENTS.md for measured values): the 4-state
 protocol's time grows linearly in ``n`` (orders of magnitude above the
@@ -115,8 +114,7 @@ def main(argv=None) -> int:
                         help="smoke | default | paper")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--avc-engine", default="auto",
-                        choices=("auto", "ensemble", "count", "batch",
-                                 "agent"),
+                        choices=("auto", "ensemble", "count", "agent"),
                         help="engine for the n-state AVC runs (auto: "
                              "the fastest exact engine for the point, "
                              "a vectorized ensemble here)")

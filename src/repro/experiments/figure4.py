@@ -104,11 +104,10 @@ def main(argv=None) -> int:
                         help="smoke | default | paper")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--engine", default="auto",
-                        choices=("auto", "ensemble", "count", "batch"),
+                        choices=("auto", "ensemble", "count"),
                         help="auto picks the fastest exact engine per "
                              "point; ensemble advances all trials of a "
-                             "point at once (exact); batch trades "
-                             "exactness for speed at paper scale")
+                             "point at once (exact)")
     add_sweep_arguments(parser, workers=True)
     add_telemetry_arguments(parser)
     args = parser.parse_args(argv)

@@ -54,8 +54,7 @@ __all__ = ["measure_majority_point", "add_sweep_arguments",
 def measure_majority_point(protocol: MajorityProtocol, *, n: int,
                            epsilon: float, trials: int, seed: int,
                            engine: str = "auto",
-                           max_parallel_time: float | None = None,
-                           batch_fraction: float = 0.05) -> dict:
+                           max_parallel_time: float | None = None) -> dict:
     """Run one sweep point and return a flat result row.
 
     The row carries everything a figure needs: the mean/std parallel
@@ -66,8 +65,7 @@ def measure_majority_point(protocol: MajorityProtocol, *, n: int,
     started = time.perf_counter()
     spec = RunSpec(protocol, n=n, epsilon=epsilon, num_trials=trials,
                    seed=seed, engine=engine,
-                   max_parallel_time=max_parallel_time,
-                   batch_fraction=batch_fraction)
+                   max_parallel_time=max_parallel_time)
     stats: TrialStats = simulate(spec, stats=True)
     elapsed = time.perf_counter() - started
     return {

@@ -333,35 +333,6 @@ class PopulationProtocol(ABC):
                 out_x, out_y = cached[0][start:stop], cached[1][start:stop]
             yield slice(start, stop), out_x, out_y
 
-    def make_batch_kernel(self):
-        """A vectorized pairwise-transition kernel, memoized per instance.
-
-        Returns a callable mapping two equal-length arrays of state
-        indices to the arrays of updated indices.  Subclasses customize
-        the kernel by overriding :meth:`_build_batch_kernel`; the
-        memoization here makes repeated engine constructions free.
-        """
-        cached = getattr(self, "_batch_kernel_cache", None)
-        if cached is None:
-            cached = self._build_batch_kernel()
-            self._batch_kernel_cache = cached
-        return cached
-
-    def _build_batch_kernel(self):
-        """Construct the kernel behind :meth:`make_batch_kernel`.
-
-        The default implementation fancy-indexes the dense transition
-        table and is only suitable for small state spaces; protocols
-        with large or structured state spaces (AVC) override it with
-        arithmetic kernels.
-        """
-        out_x, out_y = self.transition_matrix()
-
-        def kernel(index_x, index_y):
-            return out_x[index_x, index_y], out_y[index_x, index_y]
-
-        return kernel
-
     def output_array(self) -> np.ndarray:
         """Outputs per state index, with ``UNDECIDED`` encoded as ``-1``.
 
@@ -408,9 +379,9 @@ class PopulationProtocol(ABC):
     def __getstate__(self):
         """Drop the lazily built caches when pickling.
 
-        The batch kernel may be a closure (unpicklable), and the dense
-        tables rebuild cheaply on first use — shipping them to worker
-        processes would only bloat the payload.
+        The dense tables (and AVC's arithmetic kernel) rebuild cheaply
+        on first use — shipping them to worker processes would only
+        bloat the payload.
         """
         state = self.__dict__.copy()
         for key in ("_states_cache", "_state_index_cache",

@@ -43,7 +43,6 @@ from .fingerprint import (
     RESULT_SCHEMA_VERSION,
     canonical_json,
     fingerprint,
-    majority_point_key,
     point_key,
 )
 from .journal import Journal
@@ -56,7 +55,6 @@ __all__ = [
     "canonical_json",
     "fingerprint",
     "lease_ttl_from_env",
-    "majority_point_key",
     "new_worker_id",
     "point_key",
     "read_worker_statuses",

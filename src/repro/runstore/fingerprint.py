@@ -29,7 +29,6 @@ __all__ = [
     "canonical",
     "canonical_json",
     "fingerprint",
-    "majority_point_key",
     "point_key",
     "spec_from_key",
     "spec_key",
@@ -88,38 +87,16 @@ def point_key(kind: str, params: Mapping) -> dict:
     }
 
 
-def majority_point_key(protocol, *, n: int, epsilon: float, trials: int,
-                       seed: int, engine: str = "auto",
-                       max_parallel_time: float | None = None,
-                       batch_fraction: float = 0.05) -> dict:
-    """Key for one ``measure_majority_point``-shaped sweep point.
-
-    The protocol enters through its serialized form (name + full
-    parameters), so two differently constructed but identical protocol
-    instances address the same cache entry.
-    """
-    return {
-        "schema": RESULT_SCHEMA_VERSION,
-        "kind": "majority-point",
-        "protocol": protocol_to_dict(protocol),
-        "n": n,
-        "epsilon": epsilon,
-        "trials": trials,
-        "seed": seed,
-        "engine": engine,
-        "max_parallel_time": max_parallel_time,
-        "batch_fraction": batch_fraction,
-    }
-
-
 def spec_key(spec) -> dict:
     """Key for a :class:`~repro.sim.run.RunSpec` sweep point.
 
-    For margin-form majority specs this emits the *exact* dict
-    :func:`majority_point_key` produces, so the fingerprints — and
-    with them every committed cache entry — are unchanged by the
-    RunSpec migration.  Runtime-only fields (telemetry, recorders,
-    observers) never enter the key: they do not affect the results.
+    The protocol enters through its serialized form (name + full
+    parameters), so two differently constructed but identical protocol
+    instances address the same cache entry.  Margin-form majority
+    specs keep the original sweep-point layout, so every committed
+    cache entry still resolves.  Runtime-only fields (telemetry,
+    recorders, observers) never enter the key: they do not affect the
+    results.
 
     Engine-key policy: the key records the *requested* engine name,
     not the engine resolution resolves it to.  Every engine ``"auto"``
@@ -156,7 +133,8 @@ def spec_key(spec) -> dict:
         "seed": spec.seed,
         "engine": engine,
         "max_parallel_time": spec.max_parallel_time,
-        "batch_fraction": spec.batch_fraction,
+        # A retired option's default: every schema-1 fingerprint has it.
+        "batch_fraction": 0.05,
     }
     if spec.count_a is not None:
         # Count-form inputs extend the key; margin-form keys stay
@@ -182,8 +160,9 @@ def spec_from_key(key: Mapping):
     """The :class:`~repro.sim.run.RunSpec` a typed point's key addresses.
 
     The inverse of :func:`spec_key` up to ``kind``: the key's ``trials``
-    is the spec's ``num_trials``, ``schema``/``kind`` are dropped and
-    the rest is the spec's wire form, rebuilt through
+    is the spec's ``num_trials``, ``schema``/``kind`` and the constant
+    ``batch_fraction`` slot are dropped and the rest is the spec's
+    wire form, rebuilt through
     :func:`repro.serialize.spec_from_dict`.  Lets a committed entry be
     checked against the current code (see
     :func:`repro.runstore.orchestrator.stale_reason`) with no other
@@ -192,6 +171,6 @@ def spec_from_key(key: Mapping):
     from ..serialize import spec_from_dict
 
     wire = {name: value for name, value in key.items()
-            if name not in ("schema", "kind", "trials")}
+            if name not in ("schema", "kind", "trials", "batch_fraction")}
     wire["num_trials"] = key["trials"]
     return spec_from_dict(wire)

@@ -284,7 +284,6 @@ _SPEC_WIRE_FIELDS = {
     "num_trials": 1,
     "seed": None,
     "engine": "auto",
-    "batch_fraction": 0.05,
     "max_steps": None,
     "max_parallel_time": None,
     "on_timeout": "return",

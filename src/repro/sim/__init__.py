@@ -5,18 +5,13 @@ See :mod:`repro.sim.engine` for the engine comparison table and
 """
 
 from .agent_engine import AgentEngine
-from .batch_engine import BatchEngine
 from .count_engine import CountEngine
 from .count_ensemble_engine import CountEnsembleEngine
 from .engine import DEFAULT_MAX_PARALLEL_TIME, Engine
 from .ensemble_engine import EnsembleEngine
 from .fenwick import FenwickTree
 from .gillespie import ContinuousTimeEngine, NullSkippingEngine
-from .kernels.jit_engines import (
-    JitBatchEngine,
-    JitCountEngine,
-    JitCountEnsembleEngine,
-)
+from .kernels.jit_engines import JitCountEngine, JitCountEnsembleEngine
 from .observers import ObservingTracker, RuleCensus, avc_rule_classifier
 from .parallel import run_trials_parallel
 from .record import EventRecorder, TrajectoryRecorder
@@ -46,10 +41,8 @@ __all__ = [
     "EnsembleEngine",
     "NullSkippingEngine",
     "ContinuousTimeEngine",
-    "BatchEngine",
     "JitCountEngine",
     "JitCountEnsembleEngine",
-    "JitBatchEngine",
     "FenwickTree",
     "RunResult",
     "TrialStats",

@@ -41,8 +41,8 @@ class SettleTracker:
     def reset(self, counts) -> None:
         """Resynchronize with a count vector changed wholesale.
 
-        Used by the batch engine, which rewrites many agents per round
-        instead of reporting individual transitions.
+        Used by the compiled loops, which hand back a whole count
+        vector instead of reporting individual transitions.
         """
         raise NotImplementedError
 

@@ -22,16 +22,14 @@ AgentEngine            O(1), explicit agents            small n, any graph
 CountEngine            O(log s), count vector           exact, large n
 NullSkippingEngine     O(s^2) per *productive* step      small s, huge n
 ContinuousTimeEngine   as NullSkipping + clock           Poisson model
-BatchEngine            amortized O(1) (vectorized)       sweeps, approximate
 EnsembleEngine         O(1) amortized over T trials     exact multi-trial
+CountEnsembleEngine    collision-bounded batches of T    exact multi-trial,
+                       trials                            large n
 =====================  ===============================  ==================
 
-``AgentEngine``, ``CountEngine``, ``NullSkippingEngine``,
-``ContinuousTimeEngine`` and ``EnsembleEngine`` sample *exactly* the
-same Markov chain (the ensemble engine advances T independent trials
-per vectorized tick; see its module docstring); the ``BatchEngine``
-applies disjoint random matchings and is a documented approximation
-(see its module docstring).
+All of them sample *exactly* the same Markov chain (the ensemble
+engines advance T independent trials per vectorized step; see their
+module docstrings).
 """
 
 from __future__ import annotations
@@ -115,8 +113,7 @@ class Engine(ABC):
         event_observer:
             Optional callable (or sequence of callables)
             ``(i, j, new_i, new_j)`` invoked on every state-changing
-            interaction (see :mod:`repro.sim.observers`); ignored by
-            the batch engine, which has no per-interaction events.
+            interaction (see :mod:`repro.sim.observers`).
         faults:
             Optional :class:`repro.FaultSpec` injecting state
             corruption, churn, interaction faults, or an adversarial
@@ -149,8 +146,8 @@ class Engine(ABC):
             if not self.supports_faults:
                 raise InvalidParameterError(
                     f"engine {self.name!r} does not support fault "
-                    "injection; use the agent, count, batch, or "
-                    "ensemble engine")
+                    "injection; use the agent, count, ensemble or "
+                    "count-ensemble engine")
             from ..faults import FaultRuntime
 
             runtime = FaultRuntime.build(
@@ -160,7 +157,7 @@ class Engine(ABC):
 
         count_list = [int(c) for c in counts]
         tracker = make_settle_tracker(self.protocol, count_list)
-        if event_observer is not None and self._supports_observers():
+        if event_observer is not None:
             from .observers import ObservingTracker
 
             observers = (event_observer if isinstance(event_observer,
@@ -246,14 +243,6 @@ class Engine(ABC):
         distinguish their runs.
         """
         return {}
-
-    def _supports_observers(self) -> bool:
-        """Whether the engine reports individual interactions.
-
-        True for the sequential engines; the batch engine overrides
-        this since it resynchronizes trackers per round instead.
-        """
-        return True
 
     # ------------------------------------------------------------------
     # Subclass contract

@@ -10,10 +10,10 @@ decision goes through that one function: the trial plan of
 (:func:`create`, :func:`repro.sim.run.make_engine`) and the run
 store's stale check.
 
-Factories receive ``(protocol, *, graph=None, batch_fraction=0.05)``
-and must return an :class:`~repro.sim.engine.Engine`; declare
-``supports_graph=True`` if the engine accepts a non-complete
-interaction graph (only the agent engine does today).
+Factories receive ``(protocol, *, graph=None)`` and must return an
+:class:`~repro.sim.engine.Engine`; declare ``supports_graph=True`` if
+the engine accepts a non-complete interaction graph (only the agent
+engine does today).
 
 Example — plugging in a custom engine::
 
@@ -38,7 +38,6 @@ from ..protocols.base import MAX_DENSE_STATES
 from ..telemetry.context import current as current_telemetry
 from . import kernels
 from .agent_engine import AgentEngine
-from .batch_engine import BatchEngine
 from .count_engine import CountEngine
 from .count_ensemble_engine import CountEnsembleEngine
 from .engine import Engine
@@ -233,10 +232,10 @@ def register(name: str, factory: Callable, *,
              replace: bool = False) -> None:
     """Register ``factory`` as the engine called ``name``.
 
-    ``factory(protocol, *, graph=None, batch_fraction=0.05)`` must
-    return an :class:`Engine`.  Re-registering an existing name
-    requires ``replace=True`` (guards against accidental shadowing of
-    the built-ins); ``"auto"`` is the router's and cannot be taken.
+    ``factory(protocol, *, graph=None)`` must return an
+    :class:`Engine`.  Re-registering an existing name requires
+    ``replace=True`` (guards against accidental shadowing of the
+    built-ins); ``"auto"`` is the router's and cannot be taken.
     """
     if not name or not isinstance(name, str):
         raise InvalidParameterError(
@@ -276,8 +275,7 @@ def available() -> tuple[str, ...]:
     return (AUTO, *sorted(_REGISTRY))
 
 
-def create(protocol, name: str, *, graph=None,
-           batch_fraction: float = 0.05) -> Engine:
+def create(protocol, name: str, *, graph=None) -> Engine:
     """Instantiate the engine ``name`` for ``protocol``.
 
     ``"auto"`` takes the engine :func:`route` picks for one trial of
@@ -297,8 +295,7 @@ def create(protocol, name: str, *, graph=None,
             f"{protocol.name} is a round-based message-passing "
             f"protocol with no pairwise dynamics; engine {name!r} "
             "cannot run it (use engine='rounds' or 'auto')")
-    return entry.factory(protocol, graph=graph,
-                         batch_fraction=batch_fraction)
+    return entry.factory(protocol, graph=graph)
 
 
 # ----------------------------------------------------------------------
@@ -313,9 +310,6 @@ register("count", lambda protocol, **_: CountEngine(protocol))
 register("null-skipping", lambda protocol, **_: NullSkippingEngine(protocol))
 register("continuous-time",
          lambda protocol, **_: ContinuousTimeEngine(protocol))
-register("batch",
-         lambda protocol, *, batch_fraction=0.05, **_:
-         BatchEngine(protocol, batch_fraction=batch_fraction))
 
 
 def _require_dense_tables(protocol, name: str):
@@ -366,22 +360,18 @@ def _jit_factory(jit_name: str, numpy_factory: Callable) -> Callable:
     should not pay for.
     """
 
-    def factory(protocol, *, graph=None, batch_fraction=0.05):
+    def factory(protocol, *, graph=None):
         if kernels.default_backend() is None:
             telemetry = current_telemetry()
             if telemetry.enabled:
                 telemetry.event("engine.fallback", requested=jit_name,
                                 reason=kernels.fallback_reason(),
                                 protocol=protocol.name)
-            return numpy_factory(protocol,
-                                 batch_fraction=batch_fraction)
+            return numpy_factory(protocol)
         from .kernels import jit_engines
         if jit_name == "count-jit":
             return jit_engines.JitCountEngine(protocol)
-        if jit_name == "count-ensemble-jit":
-            return jit_engines.JitCountEnsembleEngine(protocol)
-        return jit_engines.JitBatchEngine(
-            protocol, batch_fraction=batch_fraction)
+        return jit_engines.JitCountEnsembleEngine(protocol)
 
     return factory
 
@@ -393,8 +383,3 @@ register("count-ensemble-jit",
          _jit_factory("count-ensemble-jit",
                       lambda protocol, **_:
                       CountEnsembleEngine(protocol)))
-register("batch-jit",
-         _jit_factory("batch-jit",
-                      lambda protocol, *, batch_fraction=0.05, **_:
-                      BatchEngine(protocol,
-                                  batch_fraction=batch_fraction)))

@@ -35,9 +35,8 @@ individual step clocks, so reported convergence steps are exact.
 
 This is the :class:`~repro.sim.count_engine.CountEngine` chain,
 trial-for-trial: the per-row distribution of ``(i, j)`` is ``c_i (c_j
-- [i = j]) / (n (n - 1))``, so results are exact in distribution — not
-the :class:`~repro.sim.batch_engine.BatchEngine` matching
-approximation.  Converged rows are recorded and *compacted* out of the
+- [i = j]) / (n (n - 1))``, so results are exact in distribution.
+Converged rows are recorded and *compacted* out of the
 matrices, so the live ensemble shrinks as trials finish and late
 stragglers run at small-``T`` cost.
 

@@ -1,13 +1,12 @@
 """Compiled kernel backend for the hot simulation loops.
 
 The hottest paths in the repo — the count-ensemble engine's whole
-clean trial loop, the count engine's Fenwick-tree sample+update loop,
-and the batch engine's matching step — have compiled twins registered
-as ``count-ensemble-jit`` / ``count-jit`` / ``batch-jit`` (see
-:mod:`repro.sim.engines`).  The null-skipping trial loop
-(``null_skip_run``) has no engine name of its own: ``null-skipping``
-and ``continuous-time`` call it whenever a backend is usable and keep
-their Python loop otherwise.  One backend provides them:
+clean trial loop and the count engine's Fenwick-tree sample+update
+loop — have compiled twins registered as ``count-ensemble-jit`` /
+``count-jit`` (see :mod:`repro.sim.engines`).  The null-skipping
+trial loop (``null_skip_run``) has no engine name of its own:
+``null-skipping`` and ``continuous-time`` call it whenever a backend
+is usable and keep their Python loop otherwise.  One backend provides them:
 
 ``cext``
     A dependency-free C translation unit compiled on demand with the
@@ -64,9 +63,7 @@ MAX_KERNEL_N = 1 << 26
 MAX_KERNEL_TRIALS = 1 << 15
 
 #: ``"auto"`` upgrades: numpy engine name -> JIT twin.  The token
-#: ensemble and the approximate batch engine are deliberately absent —
-#: the former has no compiled kernel, the latter is never chosen
-#: implicitly.
+#: ensemble is absent: it has no compiled kernel.
 JIT_UPGRADES = {
     "count": "count-jit",
     "count-ensemble": "count-ensemble-jit",

@@ -18,17 +18,21 @@
  *                            gamma clock and pair draws through
  *                            numpy's own samplers, one foreign call
  *                            per trial;
- *   repro_ensemble_round  -- the count-ensemble collision-bounded
- *                            window step on pre-drawn values
- *                            (count_ensemble_engine.py's per-round
- *                            sort/cut/apply, re-expressed as a
- *                            hash-based first-retouch scan plus a
- *                            sequential prefix apply with exact settle
- *                            detection);
  *   repro_count_block     -- the count engine's fused Fenwick-tree
  *                            sample+update loop over one block of
- *                            pre-drawn targets;
- *   repro_batch_match     -- the batch engine's matching step
+ *                            pre-drawn targets.
+ *
+ * Two more kernels have no caller in the engines and are kept only
+ * because perfbench/layers.py wraps them by name (its kernel wrap
+ * list); they go when that list is rewritten:
+ *
+ *   repro_ensemble_round  -- the count-ensemble collision-bounded
+ *                            window step on pre-drawn values (a
+ *                            hash-based first-retouch scan plus a
+ *                            sequential prefix apply with exact settle
+ *                            detection), superseded by
+ *                            repro_ensemble_batch;
+ *   repro_batch_match     -- one disjoint random matching step
  *                            (gather, table lookup, scatter,
  *                            incremental count update).
  *
@@ -765,7 +769,7 @@ EXPORT void repro_count_block(
     free(tree);
 }
 
-/* The batch engine's matching step: chosen holds 2k distinct agent
+/* One disjoint matching step: chosen holds 2k distinct agent
  * indices (initiators first), agents/dense are mutated in place.
  * Returns the number of pairs whose transition changed a state. */
 EXPORT int64_t repro_batch_match(

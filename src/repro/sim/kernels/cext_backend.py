@@ -12,9 +12,11 @@ are ``Generator.integers``', ``.geometric``'s and ``.gamma``'s.
 
 The wrappers below expose ``ensemble_batch``, ``ensemble_round``,
 ``null_skip_run``, ``count_block`` and ``batch_match``, taking
-C-contiguous int64 numpy arrays.  Contracts (shapes, value ranges)
-are documented in ``_kernels.c``; the wrappers assert only what ctypes
-cannot survive without (dtype and contiguity).
+C-contiguous int64 numpy arrays.  No engine calls ``ensemble_round``
+or ``batch_match``; they stay bound only because
+``perfbench/layers.py`` wraps both by name.  Contracts (shapes, value
+ranges) are documented in ``_kernels.c``; the wrappers assert only
+what ctypes cannot survive without (dtype and contiguity).
 """
 
 from __future__ import annotations

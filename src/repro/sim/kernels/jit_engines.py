@@ -27,7 +27,6 @@ import time
 
 import numpy as np
 
-from ..batch_engine import BatchEngine
 from ..convergence import UnanimitySettleTracker
 from ..count_engine import _BLOCK, CountEngine
 from ..count_ensemble_engine import (
@@ -40,7 +39,7 @@ from ..engines import ENSEMBLE_MAX_STATES
 from ..ensemble_common import emit_chunk_telemetry
 from . import MAX_KERNEL_N, MAX_KERNEL_TRIALS, _KernelTablesMixin, load
 
-__all__ = ["JitCountEngine", "JitCountEnsembleEngine", "JitBatchEngine"]
+__all__ = ["JitCountEngine", "JitCountEnsembleEngine"]
 
 
 class _JitCountLoopMixin(_KernelTablesMixin):
@@ -146,48 +145,3 @@ class JitCountEnsembleEngine(_JitCountLoopMixin, CountEnsembleEngine):
                                  time.perf_counter() - started, n,
                                  results, int(totals[0]), int(totals[1]))
         return results
-
-
-class JitBatchEngine(_KernelTablesMixin, BatchEngine):
-    """:class:`BatchEngine` with the matching step compiled."""
-
-    name = "batch-jit"
-
-    def __init__(self, protocol, *, batch_fraction: float = 0.05,
-                 backend: str | None = None):
-        super().__init__(protocol, batch_fraction=batch_fraction)
-        self._kernels = load(backend)
-
-    def _simulate(self, counts, n, rng, max_steps, tracker, recorder):
-        if self.protocol.num_states > ENSEMBLE_MAX_STATES:
-            return super()._simulate(counts, n, rng, max_steps,
-                                     tracker, recorder)
-        check_budget_sanity(max_steps)
-        ptab, _ = self._kernel_tables()
-        batch_match = self._kernels.batch_match
-        s = self.protocol.num_states
-
-        agents = np.repeat(np.arange(s, dtype=np.int64),
-                           np.asarray(counts, dtype=np.int64))
-        rng.shuffle(agents)
-        pairs_per_round = max(1, int(n * self.batch_fraction / 2))
-
-        dense = np.asarray(counts, dtype=np.int64)
-        steps = 0
-        productive = 0
-        while steps < max_steps:
-            k = min(pairs_per_round, max_steps - steps)
-            chosen = np.ascontiguousarray(
-                rng.choice(n, size=2 * k, replace=False),
-                dtype=np.int64)
-            changed = batch_match(chosen, agents, dense, ptab)
-            steps += k
-            if changed:
-                productive += changed
-                counts[:] = dense.tolist()
-                tracker.reset(counts)
-                if recorder is not None:
-                    recorder.maybe_record(steps, counts)
-                if tracker.settled():
-                    return steps, productive, False, None
-        return steps, productive, False, None

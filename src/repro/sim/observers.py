@@ -12,8 +12,7 @@ with the Figure-1 rule that fired (``averaging`` / ``follow`` /
 tests use it to check *which* dynamics dominate each phase of a run.
 
 Supported on the exact sequential engines (agent, count,
-null-skipping, continuous-time); the batch engine reports rounds, not
-individual interactions, and ignores observers.
+null-skipping, continuous-time).
 """
 
 from __future__ import annotations

@@ -23,8 +23,7 @@ the measured crossover up, the token-matrix
 count engines are taken as their compiled twins (``count-jit`` /
 ``count-ensemble-jit``, see :mod:`repro.sim.kernels`) when a kernel
 backend is usable; the twins draw identical RNG streams, so the
-upgrade never moves a result.  The approximate batch engine is never
-chosen implicitly.  Every batch's route is reported as an
+upgrade never moves a result.  Every batch's route is reported as an
 ``engine.selected`` telemetry event carrying the requested engine,
 the engine that runs and the rule's reason.
 
@@ -124,7 +123,6 @@ class RunSpec:
     seed: Any = None
     engine: str | Engine = "auto"
     graph: Any = None
-    batch_fraction: float = 0.05
     max_steps: int | None = None
     max_parallel_time: float | None = None
     on_timeout: str = "return"
@@ -271,7 +269,7 @@ class RunSpec:
 
 
 def make_engine(protocol, engine: str | Engine = "auto", *,
-                graph=None, batch_fraction: float = 0.05) -> Engine:
+                graph=None) -> Engine:
     """Instantiate the requested engine for one trial of ``protocol``.
 
     ``engine`` may be a registered name (see
@@ -285,8 +283,7 @@ def make_engine(protocol, engine: str | Engine = "auto", *,
             raise InvalidParameterError(
                 "pass the graph to the engine constructor, not to run()")
         return engine
-    return engine_registry.create(protocol, engine, graph=graph,
-                                  batch_fraction=batch_fraction)
+    return engine_registry.create(protocol, engine, graph=graph)
 
 
 def ensemble_chunks(num_trials: int) -> list[int]:
@@ -320,8 +317,7 @@ def make_run_engine(spec: RunSpec) -> Engine:
     auto = spec.engine == engine_registry.AUTO
     engine = make_engine(spec.protocol,
                          route(spec).engine if auto else spec.engine,
-                         graph=spec.graph,
-                         batch_fraction=spec.batch_fraction)
+                         graph=spec.graph)
     faults = active_faults(spec.faults)
     if auto or faults is None:
         return engine

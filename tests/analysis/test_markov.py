@@ -14,8 +14,10 @@ import pytest
 from repro import (
     AVCProtocol,
     FourStateProtocol,
+    RunSpec,
     ThreeStateProtocol,
     VoterProtocol,
+    run_trials,
 )
 from repro.analysis.markov import ConfigurationChain
 from repro.errors import InvalidParameterError
@@ -155,8 +157,8 @@ def ks_on_integers(samples, cdf):
 
 
 class TestSettlingStepLaw:
-    """The exact settling-step distribution, and null skipping against
-    it through both of its loops."""
+    """The exact settling-step distribution, and every exact engine
+    against it (null skipping through both of its loops)."""
 
     TRIALS = 2000
     STARTS = {
@@ -207,3 +209,24 @@ class TestSettlingStepLaw:
             protocol, protocol.initial_counts(count_a + 1, count_b - 1))
         _, p_wider = ks_on_integers(steps, wider.settling_step_cdf)
         assert p_wider < 1e-6
+
+    @pytest.mark.parametrize("engine", [
+        "count", "count-jit", "agent", "ensemble", "count-ensemble",
+        "count-ensemble-jit"])
+    @pytest.mark.parametrize("start", STARTS)
+    def test_exact_engines_steps_follow_exact_law(self, start, engine):
+        # 2000 trials span 16 chunks of 128, so the ensembles' chunk
+        # boundaries and the count ensemble's settle replay are covered.
+        if engine.endswith("-jit") and kernels.default_backend() is None:
+            pytest.skip("no usable kernel backend on this host")
+        factory, count_a, count_b = self.STARTS[start]
+        protocol = factory()
+        chain = ConfigurationChain(
+            protocol, protocol.initial_counts(count_a, count_b))
+        results = run_trials(RunSpec(protocol, count_a=count_a,
+                                     count_b=count_b,
+                                     num_trials=self.TRIALS, seed=11,
+                                     engine=engine))
+        _, p_value = ks_on_integers([r.steps for r in results],
+                                    chain.settling_step_cdf)
+        assert p_value > 0.01

@@ -44,8 +44,8 @@ class TestRouting:
         assert engines.route(ben_or_spec()) \
             == ("rounds", False, "round-based protocol")
 
-    @pytest.mark.parametrize("engine", ["count", "agent", "batch",
-                                        "ensemble", "null-skipping"])
+    @pytest.mark.parametrize("engine", ["count", "agent", "ensemble",
+                                        "null-skipping"])
     def test_population_engines_refuse_round_protocols(self, engine):
         with pytest.raises(InvalidParameterError,
                            match="round-based"):

@@ -48,10 +48,12 @@ def test_kernel_does_not_mutate_inputs():
     np.testing.assert_array_equal(index_y, backup_y)
 
 
-def test_protocol_make_batch_kernel_is_vectorized():
+def test_protocol_memoizes_its_vectorized_kernel():
     protocol = AVCProtocol(m=9, d=2)
-    kernel = protocol.make_batch_kernel()
+    kernel = protocol._batch_kernel()
     assert isinstance(kernel, AVCBatchKernel)
+    assert protocol._batch_kernel() is kernel
+    assert "_batch_kernel_cache" not in protocol.__getstate__()
 
 
 def test_kernel_on_large_m_spot_checks():

@@ -305,7 +305,7 @@ class TestRoutingAndTelemetry:
                        faults=FaultSpec(byzantine_f=2))
         assert make_run_engine(spec).name == "count"
 
-    @pytest.mark.parametrize("engine", ["batch", "null-skipping",
+    @pytest.mark.parametrize("engine", ["null-skipping",
                                         "continuous-time"])
     def test_incapable_engines_rejected(self, engine):
         spec = RunSpec(PROTOCOL, n=51, epsilon=3 / 51, seed=7,

@@ -44,9 +44,8 @@ FAULTED = FaultSpec(flip_prob=0.02, crash_prob=0.002, join_prob=0.002,
 
 
 class TestFaultedDeterminism:
-    @pytest.mark.parametrize("engine", ["count", "agent", "batch",
-                                        "ensemble", "count-ensemble",
-                                        "auto"])
+    @pytest.mark.parametrize("engine", ["count", "agent", "ensemble",
+                                        "count-ensemble", "auto"])
     def test_identical_spec_identical_results(self, engine):
         spec = RunSpec(AVC, n=101, epsilon=5 / 101, num_trials=3,
                        seed=7, engine=engine, faults=FAULTED)
@@ -92,22 +91,19 @@ class TestCleanBitIdentity:
                  num_trials=3, seed=7),
          [(2308, 1, True, 146), (2654, 1, True, 182),
           (1980, 1, True, 138)]),
-        (RunSpec(AVC, n=101, epsilon=5 / 101, num_trials=2, seed=7,
-                 engine="batch"),
-         [(1064, 1, True, 430), (1298, 1, True, 448)]),
     ]
 
     @pytest.mark.parametrize(
         "spec,expected", BASELINES,
         ids=["ensemble", "count", "agent", "three-state-auto",
-             "four-state-auto", "batch"])
+             "four-state-auto"])
     def test_faults_none_matches_baseline(self, spec, expected):
         assert signature(run_trials(spec)) == expected
 
     @pytest.mark.parametrize(
         "spec,expected", BASELINES,
         ids=["ensemble", "count", "agent", "three-state-auto",
-             "four-state-auto", "batch"])
+             "four-state-auto"])
     def test_null_fault_spec_matches_baseline(self, spec, expected):
         assert signature(run_trials(spec.replace(faults=FaultSpec()))) \
             == expected

@@ -17,7 +17,6 @@ from repro import (
 )
 from repro.sim import (
     AgentEngine,
-    BatchEngine,
     ContinuousTimeEngine,
     CountEngine,
     EnsembleEngine,
@@ -31,7 +30,6 @@ PROTOCOL = AVCProtocol(m=7, d=1)
 ENGINES = [
     pytest.param(lambda: CountEngine(PROTOCOL), id="count"),
     pytest.param(lambda: AgentEngine(PROTOCOL), id="agent"),
-    pytest.param(lambda: BatchEngine(PROTOCOL), id="batch"),
     pytest.param(lambda: EnsembleEngine(PROTOCOL), id="ensemble"),
 ]
 

@@ -12,7 +12,6 @@ from repro.runstore.fingerprint import (
     canonical,
     canonical_json,
     fingerprint,
-    majority_point_key,
     point_key,
     spec_from_key,
     spec_key,
@@ -65,35 +64,32 @@ class TestCanonical:
 
 class TestPointKeys:
     def test_identical_protocol_instances_share_address(self):
-        a = majority_point_key(AVCProtocol(m=15, d=1), n=101,
-                               epsilon=1 / 101, trials=5, seed=7)
-        b = majority_point_key(AVCProtocol(m=15, d=1), n=101,
-                               epsilon=1 / 101, trials=5, seed=7)
+        a = spec_key(RunSpec(AVCProtocol(m=15, d=1), n=101,
+                             epsilon=1 / 101, num_trials=5, seed=7))
+        b = spec_key(RunSpec(AVCProtocol(m=15, d=1), n=101,
+                             epsilon=1 / 101, num_trials=5, seed=7))
         assert fingerprint(a) == fingerprint(b)
 
     @pytest.mark.parametrize("change", [
-        {"seed": 8}, {"trials": 6}, {"engine": "count"}, {"n": 103},
+        {"seed": 8}, {"num_trials": 6}, {"engine": "count"}, {"n": 103},
         {"epsilon": 2 / 101}, {"max_parallel_time": 10.0},
     ])
     def test_any_input_change_changes_address(self, change):
-        base = dict(n=101, epsilon=1 / 101, trials=5, seed=7,
-                    engine="auto")
-        protocol = AVCProtocol(m=15, d=1)
-        baseline = fingerprint(majority_point_key(protocol, **base))
-        changed = fingerprint(majority_point_key(protocol,
-                                                 **{**base, **change}))
+        base = RunSpec(AVCProtocol(m=15, d=1), n=101, epsilon=1 / 101,
+                       num_trials=5, seed=7, engine="auto")
+        baseline = fingerprint(spec_key(base))
+        changed = fingerprint(spec_key(base.replace(**change)))
         assert changed != baseline
 
     def test_protocol_parameters_enter_the_key(self):
-        base = dict(n=101, epsilon=1 / 101, trials=5, seed=7)
-        assert fingerprint(majority_point_key(AVCProtocol(m=15, d=1),
-                                              **base)) != \
-            fingerprint(majority_point_key(AVCProtocol(m=15, d=2),
-                                           **base))
+        base = dict(n=101, epsilon=1 / 101, num_trials=5, seed=7)
+        assert fingerprint(spec_key(RunSpec(AVCProtocol(m=15, d=1),
+                                            **base))) != \
+            fingerprint(spec_key(RunSpec(AVCProtocol(m=15, d=2), **base)))
 
     def test_schema_version_embedded(self):
-        key = majority_point_key(AVCProtocol(m=15, d=1), n=101,
-                                 epsilon=1 / 101, trials=5, seed=7)
+        key = spec_key(RunSpec(AVCProtocol(m=15, d=1), n=101,
+                               epsilon=1 / 101, num_trials=5, seed=7))
         assert key["schema"] == RESULT_SCHEMA_VERSION
         assert point_key("phases", {"n": 101})["schema"] == \
             RESULT_SCHEMA_VERSION

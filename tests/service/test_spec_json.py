@@ -23,7 +23,8 @@ class TestRoundTripPreservesKey:
                           num_trials=3, seed=1),
         "engine-pinned": RunSpec(ThreeStateProtocol(), n=100,
                                  epsilon=0.2, seed=9,
-                                 engine="count", batch_fraction=0.1),
+                                 engine="count",
+                                 max_parallel_time=50_000.0),
         "faulted": RunSpec(FourStateProtocol(), n=200, epsilon=0.15,
                            seed=3,
                            faults=FaultSpec(flip_prob=0.001,
@@ -79,11 +80,14 @@ class TestValidationErrors:
             RunSpec.from_json({"schema": 1, "n": 10, "epsilon": 0.1})
 
     def test_unknown_field(self):
-        with pytest.raises(InvalidParameterError, match="unknown"):
-            RunSpec.from_json({"schema": 1,
-                               "protocol": {"kind": "three-state"},
-                               "n": 11, "epsilon": 0.1,
-                               "turbo": True})
+        # batch_fraction tuned the retired approximate engine; a payload
+        # still carrying it is refused rather than silently dropped.
+        for field, value in (("turbo", True), ("batch_fraction", 0.05)):
+            with pytest.raises(InvalidParameterError, match="unknown"):
+                RunSpec.from_json({"schema": 1,
+                                   "protocol": {"kind": "three-state"},
+                                   "n": 11, "epsilon": 0.1,
+                                   field: value})
 
     def test_wrong_schema(self):
         with pytest.raises(InvalidParameterError, match="schema"):

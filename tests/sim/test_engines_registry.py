@@ -22,9 +22,9 @@ def cleanup():
 class TestBuiltins:
     def test_available_lists_policies_then_engines(self):
         assert engines.available() == (
-            "auto", "agent", "batch", "batch-jit", "continuous-time",
-            "count", "count-ensemble", "count-ensemble-jit",
-            "count-jit", "ensemble", "null-skipping", "rounds")
+            "auto", "agent", "continuous-time", "count",
+            "count-ensemble", "count-ensemble-jit", "count-jit",
+            "ensemble", "null-skipping", "rounds")
 
     def test_auto_routes_instead_of_registering(self):
         # "auto" is listed and accepted, but it names the router, not a

@@ -18,7 +18,6 @@ from repro.protocols.four_state import FourStateProtocol
 from repro.protocols.successors import PhaseDoublingProtocol
 from repro.protocols.three_state import ThreeStateProtocol
 from repro.sim import (
-    BatchEngine,
     CountEngine,
     CountEnsembleEngine,
     engines,
@@ -137,8 +136,6 @@ class TestDisabledFallback:
             is CountEngine
         assert type(engines.create(protocol, "count-ensemble-jit")) \
             is CountEnsembleEngine
-        assert type(engines.create(protocol, "batch-jit")) \
-            is BatchEngine
 
     def test_explicit_jit_request_emits_fallback_event(self, jit_off):
         sink = InMemorySink()
@@ -288,9 +285,6 @@ class TestBitIdentity:
 
     def test_count_engine_identity(self):
         assert result_tuples("count-jit") == result_tuples("count")
-
-    def test_batch_engine_identity(self):
-        assert result_tuples("batch-jit") == result_tuples("batch")
 
     def test_contract_guard_inherits_numpy_round(self, monkeypatch):
         # Past the kernel contracts the ensemble engine must hand the

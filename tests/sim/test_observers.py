@@ -3,8 +3,7 @@
 import pytest
 
 from repro import AVCProtocol, FourStateProtocol, RunSpec, run_majority
-from repro.sim import AgentEngine, BatchEngine, CountEngine, \
-    NullSkippingEngine
+from repro.sim import AgentEngine, CountEngine, NullSkippingEngine
 from repro.sim.observers import RuleCensus, avc_rule_classifier
 
 
@@ -33,15 +32,6 @@ class TestObserverPlumbing:
             event_observer=[lambda *e: first.append(e),
                             lambda *e: second.append(e)])
         assert first and first == second
-
-    def test_batch_engine_ignores_observers(self):
-        protocol = FourStateProtocol()
-        events = []
-        result = BatchEngine(protocol).run(
-            protocol.initial_counts(40, 20), rng=3,
-            event_observer=lambda *e: events.append(e))
-        assert result.settled
-        assert events == []
 
     def test_observed_run_matches_unobserved(self):
         """Observation must not perturb the dynamics."""

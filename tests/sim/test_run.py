@@ -49,7 +49,7 @@ class TestMakeEngine:
             make_engine(ThreeStateProtocol(), "warp-drive")
 
     @pytest.mark.parametrize("name", ["agent", "count", "null-skipping",
-                                      "continuous-time", "batch"])
+                                      "continuous-time"])
     def test_every_name_constructs(self, name):
         assert make_engine(FourStateProtocol(), name) is not None
 

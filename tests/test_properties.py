@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 
 from repro import RunSpec, TableProtocol, run
 from repro.protocols.table import MajorityTableProtocol
-from repro.sim import AgentEngine, BatchEngine, CountEngine, \
-    NullSkippingEngine
+from repro.sim import AgentEngine, CountEngine, NullSkippingEngine
 
 
 def random_table_protocol(draw, max_states=4):
@@ -106,15 +105,3 @@ def test_engines_deterministic_per_seed(data, seed):
     second = run(spec)
     assert first.steps == second.steps
     assert first.final_counts == second.final_counts
-
-
-@settings(max_examples=30, deadline=None)
-@given(data=st.data(), seed=st.integers(0, 2**20),
-       fraction=st.sampled_from([0.05, 0.2, 0.5]))
-def test_batch_engine_conserves_population(data, seed, fraction):
-    protocol = random_table_protocol(data.draw)
-    counts = random_counts(data.draw, protocol)
-    total = sum(counts.values())
-    engine = BatchEngine(protocol, batch_fraction=fraction)
-    result = engine.run(counts, rng=seed, max_steps=200)
-    assert sum(result.final_counts.values()) == total
